@@ -122,8 +122,6 @@ BINARY_FAMILY = PhiFamily(
     breakpoints=(SATURATION_ORDER,),
 )
 
-FAMILIES = {f.name: f for f in (GAUSSIAN_FAMILY, BINARY_FAMILY)}
-
 
 def adaptive_simpson(f, a, b, tol=QUAD_TOL, max_depth=QUAD_MAX_DEPTH):
     """Recursive Simpson with Richardson correction -> (value, error bound)."""

@@ -11,6 +11,10 @@ finite equal to s gives s ln(||f||_inf / ||f||_s); both infinite gives
 with Q = f^q pi / E[f^q] holds throughout and is exercised by the tests.
 
 All sums run in log space where overflow is a risk.  Convention 0 ln 0 = 0.
+
+`renyi_rows` is the one Renyi divergence: it evaluates D_gamma row by row for
+the simplex optimizer in `sobolev`, and `renyi_divergence` is its checked
+one-row case.
 """
 
 from dataclasses import dataclass
@@ -108,6 +112,26 @@ def density_from_function(f, pi, q: float) -> Distribution:
     return Distribution(np.exp(logw), pi)
 
 
+def renyi_rows(Qs, pi, logpi, gamma) -> np.ndarray:
+    """D_gamma(Q_i || pi) for each row Q_i of Qs, in log space, unchecked.
+
+    pi must be strictly positive with logpi = ln pi, and gamma >= 0; rows may
+    contain zeros (0 ln 0 = 0).
+    """
+    Qs = np.atleast_2d(Qs)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if gamma == 1:
+            t = np.where(Qs > 0, Qs * (np.log(Qs) - logpi), 0.0)
+            return t.sum(axis=1)
+        if gamma == 0:
+            return -np.log(np.where(Qs > 0, pi, 0.0).sum(axis=1))
+        if np.isinf(gamma):
+            return np.log((Qs / pi).max(axis=1))
+        expo = np.where(Qs > 0, gamma * np.log(Qs) + (1 - gamma) * logpi,
+                        -INF)
+    return logsumexp(expo, axis=1) / (gamma - 1.0)
+
+
 def renyi_divergence(Q, pi, gamma) -> float:
     """D_gamma(Q || pi) for gamma in [0, inf].
 
@@ -126,12 +150,4 @@ def renyi_divergence(Q, pi, gamma) -> float:
         sup = sup & (pi > 0)           # gamma < 1 ignores pi-null mass
         if not np.any(sup):
             return INF
-    if gamma == 0:
-        with np.errstate(divide="ignore"):
-            return float(-np.log(np.sum(pi[w > 0])))
-    if gamma == 1:
-        return float(np.sum(w[sup] * np.log(w[sup] / pi[sup])))
-    if np.isinf(gamma):
-        return float(np.log(np.max(w[sup] / pi[sup])))
-    val = logsumexp(gamma * np.log(w[sup]) + (1.0 - gamma) * np.log(pi[sup]))
-    return float(val / (gamma - 1.0))
+    return float(renyi_rows(w[sup], pi[sup], np.log(pi[sup]), gamma)[0])

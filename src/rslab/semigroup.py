@@ -11,6 +11,15 @@ and the carre du champ / Dirichlet form pair is
 
     Gamma(f, g)(x) = 1/2 sum_y L[x, y] (f(y) - f(x)) (g(y) - g(x))
     E(f, g)        = <Gamma(f, g)>_pi = -<L f, g>_pi .
+
+One kernel computes the product-chain action: `_axis_apply` contracts a
+matrix against one coordinate of a batch of rows. `generator_rows` sums it
+over the coordinates, `dirichlet_rows` gives -<L u_i, v_i>_{pi^n} per row
+pair (the simplex optimizer in `sobolev` calls it), and `apply_generator`,
+`dirichlet_form_raw` and `product_heat_apply` are its one-row cases.
+`carre_du_champ` and `dirichlet_form` compute Gamma pairwise, from its
+definition; they are the reference that the tests and the benchmark compare
+the kernel against.
 """
 
 from dataclasses import dataclass
@@ -170,21 +179,34 @@ def _check_pair(S, f: NonnegFunction, g: NonnegFunction):
         raise SemigroupError("n * |X|^n exceeds enumeration budget")
 
 
-def _axis_apply(M: np.ndarray, values: np.ndarray, m: int, n: int, k: int):
-    # contract matrix M against coordinate k of a dense tensor
-    F = values.reshape((m,) * n)
-    F = np.moveaxis(F, k, -1)
-    out = F @ M.T
-    return np.moveaxis(out, -1, k).reshape(-1)
+def _axis_apply(M: np.ndarray, U: np.ndarray, m: int, n: int, k: int):
+    # contract M against coordinate k of every row of the batch U (R, m^n),
+    # viewed as (R m^k, m, m^(n-k-1)) so no axis has to move
+    X = U.reshape(-1, m, m ** (n - k - 1))
+    out = np.tensordot(M, X, axes=([1], [1])).transpose(1, 0, 2)
+    return out.reshape(U.shape)
+
+
+def generator_rows(S: Semigroup, U: np.ndarray, n: int) -> np.ndarray:
+    """Product generator action (sum of per-coordinate L) on each row of U."""
+    out = np.zeros_like(U)
+    for k in range(n):
+        out += _axis_apply(S.generator, U, S.nstates, n, k)
+    return out
+
+
+def dirichlet_rows(S: Semigroup, U: np.ndarray, V: np.ndarray, n: int,
+                   pin: np.ndarray) -> np.ndarray:
+    """E_n(u_i, v_i) = -<L u_i, v_i>_{pi^n} for each row pair of U, V.
+
+    Rows may take any finite real values; pin is pi_product(S, n).
+    """
+    return -np.einsum("x,rx,rx->r", pin, generator_rows(S, U, n), V)
 
 
 def apply_generator(S: Semigroup, f: NonnegFunction) -> np.ndarray:
     """Product generator action (sum of per-coordinate L) as a raw vector."""
-    m, n = S.nstates, f.n
-    out = np.zeros_like(f.values)
-    for k in range(n):
-        out += _axis_apply(S.generator, f.values, m, n, k)
-    return out
+    return generator_rows(S, f.values[None, :], f.n)[0]
 
 
 def carre_du_champ(S: Semigroup, f: NonnegFunction, g: NonnegFunction) -> np.ndarray:
@@ -213,20 +235,8 @@ def dirichlet_form(S: Semigroup, f: NonnegFunction, g: NonnegFunction) -> float:
 
 def dirichlet_form_raw(S: Semigroup, u: np.ndarray, v: np.ndarray, n: int) -> float:
     """Dirichlet form on raw vectors (u, v may take any real values)."""
-    m = S.nstates
-    L = S.generator
-    pin = pi_product(S, n)
-    U = u.reshape((m,) * n)
-    V = v.reshape((m,) * n)
-    total = 0.0
-    for k in range(n):
-        Uk = np.moveaxis(U, k, -1)
-        Vk = np.moveaxis(V, k, -1)
-        du = Uk[..., None, :] - Uk[..., :, None]
-        dv = Vk[..., None, :] - Vk[..., :, None]
-        gam = 0.5 * np.einsum("...xy,xy->...x", du * dv, L)
-        total += pin @ np.moveaxis(gam, -1, k).reshape(-1)
-    return float(total)
+    return float(dirichlet_rows(S, u[None, :], v[None, :], n,
+                                pi_product(S, n))[0])
 
 
 def normalized_dirichlet_form(S: Semigroup, f: NonnegFunction, q: float) -> float:
@@ -249,10 +259,10 @@ def normalized_dirichlet_form(S: Semigroup, f: NonnegFunction, q: float) -> floa
 def product_heat_apply(S: Semigroup, t: float, values: np.ndarray, n: int) -> np.ndarray:
     """(T_t^{tensor n}) f as a raw vector; t may be negative (internal FD use)."""
     Tt = _expm(S, t)
-    out = values
+    out = values[None, :]
     for k in range(n):
         out = _axis_apply(Tt, out, S.nstates, n, k)
-    return out
+    return out[0]
 
 
 def derivative_check(S: Semigroup, f: NonnegFunction, q: float, h: float = 1e-4):

@@ -21,7 +21,9 @@ obtained by bisecting rays from pi toward the simplex corners to the
 constraint boundary (convexity of the divergence in Q makes each ray cross it
 exactly once), are polished by SLSQP with the divergence constraint as an
 inequality. The support faces of the p = 0 route carry no constraint and are
-polished by Nelder-Mead restarts instead.
+polished by Nelder-Mead restarts instead. The optimizer evaluates the
+Dirichlet form through `semigroup.dirichlet_rows` and the divergence through
+`entropy.renyi_rows`, a batch of rows per call.
 
 The two-point chain admits a closed form (binary_xi_q) used as an oracle, in
 terms of y(alpha) = h^{-1}(ln 2 - alpha) on [0, 1/2]:
@@ -43,11 +45,12 @@ import numpy as np
 from scipy.optimize import minimize
 from scipy.special import logsumexp
 
-from .entropy import renyi_divergence
+from .entropy import renyi_divergence, renyi_rows
 from .semigroup import (
     ENUMERATION_BUDGET,
     NonnegFunction,
     Semigroup,
+    dirichlet_rows,
     pi_product,
     sequence_digits,
 )
@@ -117,13 +120,6 @@ def binary_xi_q(q, alpha):
     a = math.exp(ea) if ea < 709.0 else INF
     b = math.exp(eb) if eb < 709.0 else INF
     return (1.0 - a - b) / (2.0 * (q - 1.0))
-
-
-def binary_xi_hat(q, alpha):
-    """(q-1)-scaled curve used by the subgraph bound (q > 1)."""
-    if q <= 1:
-        raise SobolevError("hat scaling defined for q > 1")
-    return (q - 1.0) * binary_xi_q(q, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -269,34 +265,16 @@ def _simplex_grid(m, step):
     raise SobolevError("dense grid supports alphabets of size 2..4 only")
 
 
-def _batch_generator_apply(S: Semigroup, n, U):
-    # product-generator action on a batch of row vectors
-    m = S.nstates
-    R = U.shape[0]
-    T = U.reshape((R,) + (m,) * n)
-    out = np.zeros_like(T)
-    for k in range(n):
-        Tk = np.moveaxis(T, k + 1, -1)
-        out += np.moveaxis(Tk @ S.generator.T, -1, k + 1)
-    return out.reshape(R, -1)
-
-
-def _dirichlet_rows(S: Semigroup, n, U, V, pin):
-    """E_n(u_i, v_i) for each row pair; rows must be finite."""
-    LU = _batch_generator_apply(S, n, U)
-    return -np.einsum("x,rx,rx->r", pin, LU, V)
-
-
 def _objective_unmasked(S, n, q, D, pin):
     """Objective per density row; rows with zeros give inf or nan for
     q <= 1, so callers screen them."""
     with np.errstate(divide="ignore", invalid="ignore"):
         if q == 1:
-            return _dirichlet_rows(S, n, D, np.log(D), pin)
+            return dirichlet_rows(S, D, np.log(D), n, pin)
         if q == 0:
-            return -_dirichlet_rows(S, n, D, 1.0 / D, pin)
+            return -dirichlet_rows(S, D, 1.0 / D, n, pin)
         qp = q / (q - 1.0)
-        vals = _dirichlet_rows(S, n, D ** (1.0 / q), D ** (1.0 / qp), pin)
+        vals = dirichlet_rows(S, D ** (1.0 / q), D ** (1.0 / qp), n, pin)
         return vals / (q - 1.0)
 
 
@@ -321,38 +299,17 @@ def _objective_one(S: Semigroup, n, q, D, pin):
     return float(_objective_unmasked(S, n, q, D[None, :], pin)[0])
 
 
-def _kl_rows(Qs, logpin):
-    Qs = np.atleast_2d(Qs)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.where(Qs > 0, Qs * (np.log(Qs) - logpin), 0.0)
-    return t.sum(axis=1)
-
-
-def _renyi_rows(Qs, pin, logpin, gamma):
-    """D_gamma(Q || pin) per row, log-space."""
-    Qs = np.atleast_2d(Qs)
-    if gamma == 1:
-        return _kl_rows(Qs, logpin)
-    if gamma == 0:
-        return -np.log(np.where(Qs > 0, pin, 0.0).sum(axis=1))
-    if np.isinf(gamma):
-        with np.errstate(divide="ignore"):
-            return np.log((Qs / pin).max(axis=1))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        expo = np.where(Qs > 0,
-                        gamma * np.log(Qs) + (1 - gamma) * logpin, -INF)
-    return logsumexp(expo, axis=1) / (gamma - 1.0)
-
-
 def _logvar_rows(Qs, pin, logpin):
     """Var_pi(ln(Q/pi))/2 per row; rows with zeros are infeasible (inf)."""
     Qs = np.atleast_2d(Qs)
     out = np.full(Qs.shape[0], INF)
     ok = np.all(Qs > 0, axis=1)
     if np.any(ok):
-        logd = np.log(Qs[ok]) - logpin
+        # one (1, N) @ (N,) product per row, so that a row's value does not
+        # depend on the batch it comes in (the ray bisection batches rows)
+        logd = (np.log(Qs[ok]) - logpin)[:, None, :]
         mean = logd @ pin
-        out[ok] = 0.5 * (((logd - mean[:, None]) ** 2) @ pin)
+        out[ok] = 0.5 * (((logd - mean[:, :, None]) ** 2) @ pin)[:, 0]
     return out
 
 
@@ -371,16 +328,16 @@ def _nelder_mead(fn, x0, cfg: SolverConfig):
 
 
 def _level_crossing(out, inside, constraint_rows, level):
-    """Bisect (1-t) out + t inside, from an infeasible to a feasible point,
-    to the constraint boundary; the just-feasible point is returned."""
-    lo, hi = 0.0, 1.0
+    """Bisect (1-t) out + t inside_i for each row inside_i, from an infeasible
+    to a feasible point, to the constraint boundary; the just-feasible points
+    are returned as rows."""
+    inside = np.atleast_2d(inside)
+    lo, hi = np.zeros((inside.shape[0], 1)), np.ones((inside.shape[0], 1))
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        Qm = (1 - mid) * out + mid * inside
-        if constraint_rows(Qm[None, :])[0] >= level:
-            hi = mid
-        else:
-            lo = mid
+        feas = constraint_rows((1 - mid) * out + mid * inside) >= level
+        feas = feas[:, None]
+        lo, hi = np.where(feas, lo, mid), np.where(feas, mid, hi)
     return (1 - hi) * out + hi * inside
 
 
@@ -388,14 +345,11 @@ def _ray_seeds(pi_flat, constraint_rows, level):
     """Boundary points of the rays from pi toward each simplex corner.
 
     The divergence constraints are convex in Q with value 0 at pi, so each ray
-    crosses the level set at most once.
+    crosses the level set at most once; all rays are bisected together.
     """
-    seeds = []
-    for corner in np.eye(pi_flat.size):
-        if constraint_rows(corner[None, :])[0] >= level:
-            seeds.append(_level_crossing(pi_flat, corner, constraint_rows,
-                                         level))
-    return seeds
+    corners = np.eye(pi_flat.size)
+    corners = corners[constraint_rows(corners) >= level]
+    return list(_level_crossing(pi_flat, corners, constraint_rows, level))
 
 
 def _optimize_density(S, n, q, constraint_rows, level, cfg, extra_seeds=()):
@@ -465,7 +419,7 @@ def _optimize_density(S, n, q, constraint_rows, level, cfg, extra_seeds=()):
             # divergence grows from Q toward the corner of the largest Q/pi
             corner = np.eye(N)[np.argmax(Q / pin)]
             if constraint_rows(corner[None, :])[0] >= level:
-                Q = _level_crossing(Q, corner, constraint_rows, level)
+                Q = _level_crossing(Q, corner, constraint_rows, level)[0]
                 v = full_objective(Q)[0]
         for c in ((full_objective(s)[0], s), (v, Q)):
             if np.isfinite(c[0]):
@@ -497,7 +451,7 @@ def xi_q(S: Semigroup, q, alpha, cfg: SolverConfig = SolverConfig(),
     if q == 0:
         constraint = lambda Qs: _logvar_rows(Qs, pin, logpin)
     else:
-        constraint = lambda Qs: _kl_rows(Qs, logpin)
+        constraint = lambda Qs: renyi_rows(Qs, pin, logpin, 1.0)
     val, Q = _optimize_density(S, 1, q, constraint, alpha, cfg)
     return (val, Q) if return_witness else val
 
@@ -607,7 +561,7 @@ def xi_pq_n(S: Semigroup, p, q, n, alpha, cfg: SolverConfig = SolverConfig(),
 
     gamma = p / q
     logpin = np.log(pin)
-    constraint = lambda Qs: _renyi_rows(Qs, pin, logpin, gamma) / n
+    constraint = lambda Qs: renyi_rows(Qs, pin, logpin, gamma) / n
 
     extra = []
     if n >= 2 and m <= 4:

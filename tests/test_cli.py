@@ -225,6 +225,15 @@ class TestExitCodes:
                             "--q", "2", "--alpha", "0.1"])
         assert rc == 1
 
+    def test_nonsymmetric_generator_rejected(self, tmp_path):
+        # reversible for pi = (0.7, 0.3) but not symmetric
+        path = tmp_path / "gen.mat"
+        np.savetxt(path, np.array([[-0.3, 0.3], [0.7, -0.7]]))
+        rc, _, err = run_cli(["xi", "--generator", str(path), "--q", "2",
+                              "--alpha", "0.1"])
+        assert rc == 1
+        assert "generator must be symmetric" in err
+
     def test_binary_and_generator_conflict(self, tmp_path):
         path = tmp_path / "gen.mat"
         np.savetxt(path, np.array([[-0.5, 0.5], [0.5, -0.5]]))

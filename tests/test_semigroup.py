@@ -1,5 +1,10 @@
+from functools import reduce
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from rslab.semigroup import (
     ENUMERATION_BUDGET,
@@ -11,6 +16,7 @@ from rslab.semigroup import (
     carre_du_champ,
     derivative_check,
     dirichlet_form,
+    dirichlet_rows,
     heat_operator,
     load_generator,
     normalized_dirichlet_form,
@@ -294,3 +300,72 @@ class TestHelpers:
         pin = pi_product(S, 2)
         out = product_heat_apply(S, 0.7, v, 2)
         assert abs(pin @ out - pin @ v) < 1e-12
+
+
+# deterministic examples, so the suite gives the same verdict on every run
+KERNEL_SETTINGS = settings(derandomize=True, database=None, deadline=None,
+                           max_examples=60)
+
+
+@st.composite
+def chain_batches(draw):
+    """A random symmetric chain on k in {2, 3, 4} letters, a dimension n in
+    {1, 2, 3} and two batches of R in {1..5} nonnegative rows over X^n."""
+    k = draw(st.integers(2, 4))
+    n = draw(st.integers(1, 3))
+    R = draw(st.integers(1, 5))
+    rates = draw(hnp.arrays(np.float64, (k, k), elements=st.floats(0, 2)))
+    A = np.triu(rates, 1)
+    A = A + A.T
+    S = validate_semigroup(A - np.diag(A.sum(axis=1)))
+    rows = hnp.arrays(np.float64, (R, k ** n),
+                      elements=st.floats(0, 3, allow_subnormal=False))
+    U = draw(rows)
+    V = draw(rows)
+    U[:, 0] += 1.0                  # rows must not vanish for NonnegFunction
+    V[:, 0] += 1.0
+    return S, n, U, V
+
+
+class TestKernelProperties:
+    """The batched product-chain kernel against the pairwise reference."""
+
+    @KERNEL_SETTINGS
+    @given(chain_batches())
+    def test_dirichlet_rows_match_carre_du_champ(self, case):
+        S, n, U, V = case
+        m = S.nstates
+        pin = pi_product(S, n)
+        rows = dirichlet_rows(S, U, V, n, pin)
+        for i in range(U.shape[0]):
+            f, g = NonnegFunction(U[i], m, n), NonnegFunction(V[i], m, n)
+            ref = pin @ carre_du_champ(S, f, g)
+            scale = n * max(1.0, np.abs(S.generator).max()) \
+                * U[i].max() * V[i].max()
+            assert abs(rows[i] - ref) <= 1e-12 * scale
+
+    @KERNEL_SETTINGS
+    @given(chain_batches())
+    def test_batch_rows_equal_one_row_calls(self, case):
+        S, n, U, V = case
+        pin = pi_product(S, n)
+        rows = dirichlet_rows(S, U, V, n, pin)
+        for i in range(U.shape[0]):
+            one = dirichlet_rows(S, U[i:i + 1], V[i:i + 1], n, pin)[0]
+            if n >= 2:
+                assert rows[i] == one
+            else:
+                # at n = 1 one row is a BLAS matrix-vector product and a
+                # batch a matrix-matrix product, which round differently
+                scale = max(1.0, np.abs(S.generator).max()) \
+                    * U[i].max() * V[i].max()
+                assert abs(rows[i] - one) <= 1e-14 * scale
+
+    @KERNEL_SETTINGS
+    @given(chain_batches(), st.floats(0, 2))
+    def test_product_heat_matches_kronecker(self, case, t):
+        S, n, U, _ = case
+        T = reduce(np.kron, [heat_operator(S, t)] * n)
+        for u in U:
+            got = product_heat_apply(S, t, u, n)
+            assert np.max(np.abs(got - T @ u)) <= 1e-12 * u.max()
