@@ -11,16 +11,14 @@ Two families are built in. The Gaussian (Ornstein-Uhlenbeck) family has
 phi_s(t) = s^2 t / 2 exactly, so with beta = 1/n the optimized bound is the
 classic piecewise form exp(-(r + p/2)^2 / 2) for r >= p/2 and exp(-p r)
 below. The hypercube (Bonami-Beckner) family inverts the two-point closed
-form at each order with beta(s) = (e-1)(e^(s-1)-1)/(2(s-1)), which is
-bounded by 2 on [0,2].
+form at each order, by one bisection in u = 1/2 - y, with
+beta(s) = (e-1)(e^(s-1)-1)/(2(s-1)), which is bounded by 2 on [0,2].
 
-Two removable singularities are handled analytically rather than left to
-the quadrature. As s -> 0 the integrand phi_s(beta(s))/s^2 of the hypercube
-family tends to arccosh(1 + 2t)^2 / 8 at t = beta(0), which equals the
-inverse of the order-0 closed-form curve. And for s >= 2 - ln(e-1) the
-constraint level beta(s) exceeds the largest value 1/(2(s-1)) the order-s
-curve attains, the inversion saturates at ln 2, and the remaining integral
-is ln 2 (1/a - 1/b) in closed form.
+As s -> 0 its integrand phi_s(beta(s))/s^2 tends to the order-0 inverse
+(order_zero_inverse) of beta(0), which the quadrature reads at s = 0.
+For s >= 2 - ln(e-1) the level beta(s) exceeds the largest value
+1/(2(s-1)) of the order-s curve and the inversion saturates at ln 2; the
+quadrature splits at that order, where the integrand loses smoothness.
 """
 
 import math
@@ -28,7 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sobolev import LN2, SampledCurve, binary_xi_q
+from .sobolev import (LN2, SampledCurve, alpha_of_u, binary_xi_y,
+                      bisect_half)
 
 INF = float("inf")
 
@@ -58,12 +57,18 @@ def beta_binary(s) -> float:
     return (math.e - 1.0) * math.expm1(s - 1.0) / (2.0 * (s - 1.0))
 
 
+def order_zero_inverse(t) -> float:
+    """Unclamped inverse of the order-0 two-point curve in its level."""
+    return math.acosh(1.0 + 2.0 * t) ** 2 / 8.0
+
+
 def xi_inverse(q, t, curve: SampledCurve = None) -> float:
     """Entropy level alpha at which the order-q curve reaches t.
 
-    Closed-form two-point curve by default (bisection on alpha); a sampled
-    convex-envelope curve inverts by linear interpolation. Levels above the
-    curve's range return the right endpoint, where the inversion saturates.
+    Closed-form two-point curve by default (one bisection in u = 1/2 - y,
+    exact at order 0); a sampled convex-envelope curve inverts by linear
+    interpolation. Levels above the curve's range return the right endpoint,
+    where the inversion saturates.
     """
     t = float(t)
     if t < 0:
@@ -81,22 +86,11 @@ def xi_inverse(q, t, curve: SampledCurve = None) -> float:
         return float(np.interp(t, vals[keep], grid[keep]))
     if q < 0:
         raise ConcentrationError("order q must be nonnegative")
-    if t >= binary_xi_q(q, LN2):
+    if q == 0:
+        return min(LN2, order_zero_inverse(t))
+    if t >= binary_xi_y(q, 0.0):
         return LN2
-    # the root sits below q^2 t / 2 (standard-LSI domination), which keeps
-    # the bracket, hence the absolute error, proportional to the root itself
-    lo, hi = 0.0, LN2
-    if q > 0:
-        hi = min(LN2, 0.5 * q * q * t * (1.0 + 1e-9))
-        if hi < LN2 and binary_xi_q(q, hi) < t:
-            hi = LN2
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if binary_xi_q(q, mid) < t:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return alpha_of_u(bisect_half(lambda u: binary_xi_y(q, 0.5 - u), t))
 
 
 @dataclass(frozen=True)
@@ -118,7 +112,7 @@ GAUSSIAN_FAMILY = PhiFamily(
 BINARY_FAMILY = PhiFamily(
     "binary",
     phi=lambda s, t: xi_inverse(s, t),
-    zero_limit=lambda t: math.acosh(1.0 + 2.0 * t) ** 2 / 8.0,
+    zero_limit=order_zero_inverse,
     breakpoints=(SATURATION_ORDER,),
 )
 

@@ -26,11 +26,14 @@ Dirichlet form through `semigroup.dirichlet_rows` and the divergence through
 `entropy.renyi_rows`, a batch of rows per call.
 
 The two-point chain admits a closed form (binary_xi_q) used as an oracle, in
-terms of y(alpha) = h^{-1}(ln 2 - alpha) on [0, 1/2]:
+terms of y = h^{-1}(ln 2 - alpha) on [0, 1/2] (binary_xi_y for q > 0):
 
     q not in {0, 1}: (1 - y^{1/q}(1-y)^{1/q'} - y^{1/q'}(1-y)^{1/q}) / (2(q-1))
     q = 1:           (1/2 - y) ln((1-y)/y)
     q = 0:           (e^{2 sqrt(2 alpha)} + e^{-2 sqrt(2 alpha)})/4 - 1/2
+
+Both the curve and alpha = ln 2 - h(1/2 - u) increase in u = 1/2 - y, so the
+curve's inverse needs one bisection in u (bisect_half) and no h^{-1}.
 
 The module also builds the finite-n extremal functions whose entropy and
 Dirichlet rates exhibit the p <= q / p > q transition: products of typical-set
@@ -75,19 +78,33 @@ def hfun(y):
     return -y * math.log(y) - (1.0 - y) * math.log1p(-y)
 
 
+def bisect_half(f, level):
+    """Point of [0, 1/2] where the increasing function f reaches level."""
+    lo, hi = 0.0, 0.5
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        if f(mid) < level:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def hinv(v):
     """Inverse of the binary entropy restricted to [0, 1/2], by bisection."""
     if not (-1e-15 <= v <= LN2 + 1e-15):
         raise SobolevError(f"h^-1 argument {v} outside [0, ln 2]")
     v = min(max(v, 0.0), LN2)
-    lo, hi = 0.0, 0.5
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if hfun(mid) < v:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return bisect_half(hfun, v)
+
+
+def alpha_of_u(u):
+    """ln 2 - h(1/2 - u) for u in [0, 1/2], to a few ulps."""
+    if u < 0.25:
+        # ln 2 - h(1/2 - u) = 2u atanh(2u) + log1p(-4u^2)/2, no cancellation
+        # against ln 2 as u -> 0; past 1/4 atanh loses digits near 1
+        return 2.0 * u * math.atanh(2.0 * u) + 0.5 * math.log1p(-4.0 * u * u)
+    return LN2 - hfun(0.5 - u)
 
 
 def binary_xi_q(q, alpha):
@@ -102,7 +119,11 @@ def binary_xi_q(q, alpha):
     if q == 0:
         u = 2.0 * math.sqrt(2.0 * alpha)
         return 0.25 * (math.exp(u) + math.exp(-u)) - 0.5
-    y = hinv(LN2 - alpha)
+    return binary_xi_y(q, hinv(LN2 - alpha))
+
+
+def binary_xi_y(q, y):
+    """Order-q > 0 two-point curve at y = h^{-1}(ln 2 - alpha) in [0, 1/2]."""
     # near q = 1 the generic form divides an O(q-1) cancellation by q-1;
     # inside the window the limit formula is the accurate route
     if abs(q - 1.0) <= 3e-9:
@@ -626,53 +647,39 @@ def sequence_type_counts(m, k):
     return counts
 
 
-def typical_mask(Qw, k, eps):
-    """Sequences whose empirical measure is within relative eps of Q."""
-    Qw = np.asarray(Qw, dtype=float)
-    m = Qw.size
-    counts = sequence_type_counts(m, k)
+def _typical_rows(counts, k, Qw, eps):
+    # empirical measures within relative eps of Q, with a small additive
+    # slack so exact boundary types are kept
     emp = counts / k
-    # small additive slack so exact boundary types are kept
     return np.all(np.abs(emp - Qw) <= eps * Qw + 1e-12, axis=1)
 
 
-def _product_log_probs(Qw, k):
+def typical_mask(Qw, k, eps):
+    """Sequences whose empirical measure is within relative eps of Q."""
     Qw = np.asarray(Qw, dtype=float)
-    counts = sequence_type_counts(Qw.size, k)
+    return _typical_rows(sequence_type_counts(Qw.size, k), k, Qw, eps)
+
+
+def _product_density(Qw, pi, k, eps=None):
+    """Q^k / pi^k as a dense vector over m^k sequences; with eps given,
+    Q^k(. | T_eps(Q)) / pi^k instead."""
+    if k == 0:
+        return np.ones(1)
+    counts = sequence_type_counts(len(Qw), k)
     with np.errstate(divide="ignore", invalid="ignore"):
         lq = np.where(Qw > 0, np.log(Qw), -INF)
-        out = counts @ np.where(np.isfinite(lq), lq, 0.0)
+        logp = counts @ np.where(np.isfinite(lq), lq, 0.0)
         dead = counts[:, ~np.isfinite(lq)].sum(axis=1) > 0
-    out[dead] = -INF
-    return out
-
-
-def _conditioned_density(Qw, pi, k, eps):
-    """Q^k(. | T_eps(Q)) / pi^k as a dense vector over m^k sequences."""
-    if k == 0:
-        return np.ones(1)
-    mask = typical_mask(Qw, k, eps)
-    logp = _product_log_probs(Qw, k)
-    keep = mask & np.isfinite(logp)
-    if not np.any(keep):
-        raise SobolevError("empty typical set: eps too small for this length")
-    logZ = logsumexp(logp[keep])
-    m = len(Qw)
-    logpik = sequence_type_counts(m, k) @ np.log(pi)
-    dens = np.zeros(m ** k)
-    dens[keep] = np.exp(logp[keep] - logZ - logpik[keep])
-    return dens
-
-
-def _product_density(Qw, pi, k):
-    """Q^k / pi^k as a dense vector over m^k sequences."""
-    if k == 0:
-        return np.ones(1)
-    logp = _product_log_probs(Qw, k)
-    logpik = sequence_type_counts(len(Qw), k) @ np.log(pi)
+    logp[dead] = -INF
+    keep = np.isfinite(logp)
+    if eps is not None:
+        keep &= _typical_rows(counts, k, Qw, eps)
+        if not np.any(keep):
+            raise SobolevError("empty typical set: eps too small for this "
+                               "length")
+        logp = logp - logsumexp(logp[keep])
     out = np.zeros(len(logp))
-    ok = np.isfinite(logp)
-    out[ok] = np.exp(logp[ok] - logpik[ok])
+    out[keep] = np.exp(logp[keep] - (counts @ np.log(pi))[keep])
     return out
 
 
@@ -700,12 +707,9 @@ def build_extremal(spec: ExtremalSpec, S: Semigroup) -> NonnegFunction:
     Qw = np.asarray(spec.Q, dtype=float) if spec.Q is not None else pi.copy()
     Rw = np.asarray(spec.R, dtype=float) if spec.R is not None else pi.copy()
     k = int(math.floor(spec.lam * n))
-    if spec.variant == "conditional-typical":
-        f1 = _conditioned_density(Qw, pi, k, spec.eps)
-        f2 = _conditioned_density(Rw, pi, n - k, spec.eps)
-    else:
-        f1 = _product_density(Qw, pi, k)
-        f2 = _product_density(Rw, pi, n - k)
+    eps = spec.eps if spec.variant == "conditional-typical" else None
+    f1 = _product_density(Qw, pi, k, eps)
+    f2 = _product_density(Rw, pi, n - k, eps)
     return NonnegFunction(np.kron(f1, f2), m, n)
 
 

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from rslab import cli
 from rslab.concentration import QuadratureError
 from rslab.semigroup import binary_semigroup
 from rslab.sobolev import binary_xi_q, xi_pq_n, xi_q
+
+DATA = Path(__file__).parent / "data"
 
 
 def run_cli(args):
@@ -170,6 +173,12 @@ class TestConcentration:
         assert float(row["bound"]) <= float(row["baseline"]) - 1e-6
         assert float(row["quad_error"]) <= 1e-8
 
+    def test_binary_zero_deviation(self):
+        rc, out, _ = run_cli(["concentration", "--family", "binary",
+                              "--n", "10", "--p", "0", "--r", "0"])
+        assert rc == 0
+        assert abs(float(parse_csv(out)[0]["log_bound"])) <= 1e-9
+
 
 class TestExtremal:
     def test_dirac_mixture_report(self):
@@ -204,6 +213,33 @@ class TestDeterminism:
         assert cli.main(args + ["--out", str(a)]) == 0
         assert cli.main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+# stored outputs of commands whose bytes do not depend on the machine: the
+# closed-form curve tables use scalar Python math, and the extremal CSV
+# prints 12 significant digits
+GOLDEN = [
+    ("xi_binary_q2_grid64", ["xi", "--binary", "--q", "2", "--grid", "64"]),
+    ("xi_binary_q0.8_grid64",
+     ["xi", "--binary", "--q", "0.8", "--grid", "64"]),
+    ("xi_binary_q3_grid64_conv",
+     ["xi", "--binary", "--q", "3", "--grid", "64", "--conv"]),
+]
+GOLDEN_CASES = [(f"{name}.{fmt}", args + ["--format", fmt])
+                for name, args in GOLDEN for fmt in ("csv", "json")]
+GOLDEN_CASES.append(("extremal_dirac_mixture_n12.csv",
+                     ["extremal", "--variant", "dirac-mixture", "--binary",
+                      "--n", "12", "--p", "3", "--q", "2", "--eps", "0.2",
+                      "--beta", "0.3"]))
+
+
+class TestGoldenOutput:
+    @pytest.mark.parametrize("name,args", GOLDEN_CASES,
+                             ids=[c[0] for c in GOLDEN_CASES])
+    def test_bytes_match_stored(self, name, args, tmp_path):
+        out = tmp_path / name
+        assert cli.main(args + ["--out", str(out)]) == 0
+        assert out.read_bytes() == (DATA / name).read_bytes()
 
 
 class TestExitCodes:

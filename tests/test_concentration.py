@@ -20,8 +20,8 @@ from rslab.concentration import (
     upsilon_bound,
     xi_inverse,
 )
-from rslab.sobolev import LN2, binary_xi_q, conv_envelope, hfun, \
-    sample_binary_curve
+from rslab.sobolev import LN2, alpha_of_u, binary_xi_q, conv_envelope, \
+    hfun, sample_binary_curve
 
 E1 = math.e - 1.0
 
@@ -97,6 +97,22 @@ class TestXiInverse:
             t = beta_binary(s)
             assert xi_inverse(s, t) == \
                 pytest.approx(xi_inverse_oracle(s, t), abs=1e-12)
+
+    def test_small_order_limit(self):
+        # xi_inverse(s, t) / s^2 -> the order-0 inverse as s -> 0, whose
+        # O(s) correction the 0.2 s slack covers
+        for s in (1e-9, 1e-7, 1e-5):
+            for t in (0.01, 0.3, beta_binary(0.0)):
+                lim = math.acosh(1.0 + 2.0 * t) ** 2 / 8.0
+                assert abs(xi_inverse(s, t) / s ** 2 - lim) <= \
+                    (1e-6 + 0.2 * s) * lim
+
+    def test_level_of_u(self):
+        for u in np.linspace(0.1, 0.5, 41):
+            assert abs(alpha_of_u(u) - (LN2 - hfun(0.5 - u))) <= 1e-15
+        for u in (1e-12, 1e-9, 1e-6, 1e-4):
+            series = 2.0 * u * u + 4.0 * u ** 4 / 3.0
+            assert abs(alpha_of_u(u) - series) <= 1e-15 * series
 
     def test_saturation(self):
         # above the curve's range the inversion pins at the right endpoint
@@ -264,6 +280,10 @@ class TestHypercubeBound:
         rep = hypercube_bound(n, 0.0, r)
         assert rep.bound == pytest.approx(math.exp(emin), rel=1e-6)
         assert rep.q_star == pytest.approx(qs[k] + shift, abs=1e-3)
+
+    def test_zero_deviation(self):
+        rep = hypercube_bound(10, 0.0, 0.0)
+        assert rep.log_bound == 0.0 and rep.q_star == 0.0
 
     def test_nonpositive_r_reports_above_one(self):
         rep = hypercube_bound(6, 0.5, -1.0)
