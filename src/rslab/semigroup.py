@@ -88,12 +88,12 @@ def as_function(values, base: int) -> NonnegFunction:
     return NonnegFunction(v, base, n)
 
 
-def validate_semigroup(L, pi=None) -> Semigroup:
-    """Check generator structure and (if needed) solve for the stationary law.
+def validate_semigroup(L) -> Semigroup:
+    """Check generator structure and pair it with the uniform law.
 
     L must be symmetric with nonnegative off-diagonal entries and zero row
-    sums.  When pi is omitted the uniform distribution is used (it is always
-    stationary for a symmetric generator) after verification.
+    sums, so the uniform distribution is stationary; pi^T L = 0 is still
+    checked, to IDENTITY_TOL.
     """
     L = np.asarray(L, dtype=float)
     if L.ndim != 2 or L.shape[0] != L.shape[1]:
@@ -112,16 +112,7 @@ def validate_semigroup(L, pi=None) -> Semigroup:
     if np.max(np.abs(rowsum)) > STRUCT_TOL * max(1.0, np.max(np.abs(L))):
         raise SemigroupError("row sums must vanish")
 
-    if pi is None:
-        pi = np.full(m, 1.0 / m)
-    else:
-        pi = np.asarray(pi, dtype=float)
-        if pi.shape != (m,):
-            raise SemigroupError("stationary vector has wrong length")
-    if np.any(pi <= 0):
-        raise SemigroupError("stationary distribution must be strictly positive")
-    if abs(pi.sum() - 1.0) > STRUCT_TOL * m:
-        raise SemigroupError("stationary distribution must sum to 1")
+    pi = np.full(m, 1.0 / m)
     if np.max(np.abs(pi @ L)) > IDENTITY_TOL:
         raise SemigroupError("pi^T L = 0 violated")
     return Semigroup(L, pi)

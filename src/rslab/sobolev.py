@@ -20,10 +20,10 @@ of a dense simplex grid restricted to feasible points, and extra starts
 obtained by bisecting rays from pi toward the simplex corners to the
 constraint boundary (convexity of the divergence in Q makes each ray cross it
 exactly once), are polished by SLSQP with the divergence constraint as an
-inequality. The support faces of the p = 0 route carry no constraint and are
-polished by Nelder-Mead restarts instead. The optimizer evaluates the
-Dirichlet form through `semigroup.dirichlet_rows` and the divergence through
-`entropy.renyi_rows`, a batch of rows per call.
+inequality. The support faces of the p = 0 route go through the same
+pipeline, restricted to the face and without a constraint. The optimizer
+evaluates the Dirichlet form through `semigroup.dirichlet_rows` and the
+divergence through `entropy.renyi_rows`, a batch of rows per call.
 
 The two-point chain admits a closed form (binary_xi_q) used as an oracle, in
 terms of y = h^{-1}(ln 2 - alpha) on [0, 1/2] (binary_xi_y for q > 0):
@@ -41,7 +41,7 @@ conditioned densities and mixtures with a point mass at a least-likely string.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
@@ -250,17 +250,12 @@ def lsi_constant(curve: SampledCurve, q) -> float:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Simplex optimizer settings.
-
-    polish_maxfev and polish_restarts bound the Nelder-Mead polish, which only
-    the unconstrained support faces of the p = 0 route in xi_pq_n use.
-    """
+    """Simplex optimizer settings: the dense grid steps for faces of two or
+    three states and of four states, and the number of seeds polished."""
 
     grid_step: float = 1.0 / 400     # dense grid for 2- and 3-letter alphabets
     grid_step4: float = 1.0 / 60     # coarser grid for 4-cell simplices
     multistart: int = 16
-    polish_maxfev: int = 4000
-    polish_restarts: int = 2
 
 
 def _simplex_grid(m, step):
@@ -334,20 +329,6 @@ def _logvar_rows(Qs, pin, logpin):
     return out
 
 
-def _nelder_mead(fn, x0, cfg: SolverConfig):
-    best_x, best_v = x0, fn(x0)
-    for _ in range(cfg.polish_restarts + 1):
-        with np.errstate(invalid="ignore"):    # inf barrier values
-            res = minimize(fn, best_x, method="Nelder-Mead",
-                           options={"xatol": 1e-12, "fatol": 1e-12,
-                                    "maxfev": cfg.polish_maxfev})
-        if res.fun < best_v:
-            best_x, best_v = res.x, res.fun
-        else:
-            break
-    return best_x, best_v
-
-
 def _level_crossing(out, inside, constraint_rows, level):
     """Bisect (1-t) out + t inside_i for each row inside_i, from an infeasible
     to a feasible point, to the constraint boundary; the just-feasible points
@@ -373,46 +354,79 @@ def _ray_seeds(pi_flat, constraint_rows, level):
     return list(_level_crossing(pi_flat, corners, constraint_rows, level))
 
 
-def _optimize_density(S, n, q, constraint_rows, level, cfg, extra_seeds=()):
+def _optimize_density(S, n, q, constraint_rows, level, cfg, extra_seeds=(),
+                      face=None):
     """Shared pipeline: feasible-restricted grid, ray seeds, SLSQP polish.
 
-    The grid minimum and the ray seeds form the global layer; each seed is
-    then polished by SLSQP (finite-difference gradients) with the divergence
-    constraint as an inequality, over log-mass ratios y in [-700, 700]^{N-1}
-    with Q = softmax(y, 0), so the simplex needs no constraint. A polished
-    point that misses the level is bisected back onto it. Seeds and polished
-    points alike are scored by the barrier objective (inf unless the
-    constraint holds to 1e-13), so no infeasible point is reported and no
-    result is worse than its seed.
+    Minimizes over the distributions Q on X^n supported on `face` (an index
+    array, the whole simplex by default); constraint_rows None means no
+    constraint, and extra_seeds are points of the face. The grid minimum
+    (faces of two to four states) and the ray seeds form the global layer:
+    rays run from pi restricted to the face and normalized toward the face
+    corners, and without a constraint that origin is itself the seed. Each
+    seed is then polished by SLSQP (finite-difference gradients), with the
+    divergence constraint as an inequality, over log-mass ratios y in
+    [-700, 700]^{k-1} with Q = softmax(y, 0) on the k face states, so the
+    simplex needs no constraint. A polished point that misses the level is
+    bisected back onto it. Seeds and polished points alike are scored by the
+    barrier objective (inf unless the constraint holds to 1e-13), so no
+    infeasible point is reported and no result is worse than its seed. A
+    one-state face is scored directly.
     """
-    m = S.nstates
-    N = m ** n
+    N = S.nstates ** n
     pin = pi_product(S, n)
 
-    def full_objective(Qs):
-        Qs = np.atleast_2d(Qs)
+    def embed(P):
+        """Points of the face as points of X^n (rows when P is 2-D)."""
+        if face is None:
+            return P
+        Q = np.zeros(P.shape[:-1] + (N,))
+        Q[..., face] = P
+        return Q
+
+    if face is None:
+        k, pface, origin = N, pin, pin
+        face_constraint = constraint_rows
+    else:
+        k, pface = len(face), pin[face]
+        origin = pface / pface.sum()
+
+        def face_constraint(Ps):
+            return constraint_rows(embed(Ps))
+
+    def full_objective(Ps):
+        Qs = np.atleast_2d(embed(Ps))
         vals = np.full(Qs.shape[0], INF)
-        feas = constraint_rows(Qs) >= level - 1e-13
+        if constraint_rows is None:
+            feas = np.ones(Qs.shape[0], dtype=bool)
+        else:
+            feas = constraint_rows(Qs) >= level - 1e-13
         if np.any(feas):
             vals[feas] = _objective_rows(S, n, q, Qs[feas] / pin, pin)
         return vals
 
+    if k == 1:
+        return full_objective(np.ones(1))[0], embed(np.ones(1))
+
     candidates = []
-    if N <= 4:
-        step = cfg.grid_step if N <= 3 else cfg.grid_step4
-        grid = _simplex_grid(N, step)
+    if k <= 4:
+        step = cfg.grid_step if k <= 3 else cfg.grid_step4
+        grid = _simplex_grid(k, step)
         vals = full_objective(grid)
-        k = int(np.argmin(vals))     # ties resolve to the smallest index
-        if np.isfinite(vals[k]):
-            candidates.append((vals[k], grid[k]))
+        i = int(np.argmin(vals))     # ties resolve to the smallest index
+        if np.isfinite(vals[i]):
+            candidates.append((vals[i], grid[i]))
 
     seeds = [np.asarray(s, dtype=float) for s in extra_seeds]
     if candidates:
         seeds.append(candidates[0][1])
-    seeds.extend(_ray_seeds(pin, constraint_rows, level))
+    if constraint_rows is None:
+        seeds.append(origin)
+    else:
+        seeds.extend(_ray_seeds(origin, face_constraint, level))
     seeds = seeds[: cfg.multistart]
 
-    # polish over log-mass ratios y_i = ln(Q_i / Q_N): optima often sit on
+    # polish over log-mass ratios y_i = ln(Q_i / Q_k): optima often sit on
     # a face (q > 1) or within 1e-10 of one (q <= 1), where the powers of Q
     # in objective and constraint have infinite slope in Q but not in y
     def simplex_point(y):
@@ -421,36 +435,37 @@ def _optimize_density(S, n, q, constraint_rows, level, cfg, extra_seeds=()):
         return w / w.sum()
 
     def polish_objective(y):
-        return _objective_one(S, n, q, simplex_point(y) / pin, pin)
+        return _objective_one(S, n, q, embed(simplex_point(y)) / pin, pin)
 
     def polish_constraint(y):
-        return constraint_rows(simplex_point(y)[None, :])[0] - level
+        return face_constraint(simplex_point(y)[None, :])[0] - level
 
-    bounds = [(-700.0, 700.0)] * (N - 1)
-    constraints = [{"type": "ineq", "fun": polish_constraint}]
+    bounds = [(-700.0, 700.0)] * (k - 1)
+    constraints = ([] if constraint_rows is None else
+                   [{"type": "ineq", "fun": polish_constraint}])
     for s in seeds:
         ls = np.log(np.maximum(s, 1e-300))
         res = minimize(polish_objective, ls[:-1] - ls[-1], method="SLSQP",
                        jac="3-point", bounds=bounds, constraints=constraints,
                        options={"ftol": 1e-15, "maxiter": 200})
-        Q = simplex_point(res.x)
-        v = full_objective(Q)[0]
+        P = simplex_point(res.x)
+        v = full_objective(P)[0]
         if not np.isfinite(v):
             # SLSQP can stop just outside the level set (1e-11 seen); the
             # divergence grows from Q toward the corner of the largest Q/pi
-            corner = np.eye(N)[np.argmax(Q / pin)]
-            if constraint_rows(corner[None, :])[0] >= level:
-                Q = _level_crossing(Q, corner, constraint_rows, level)[0]
-                v = full_objective(Q)[0]
-        for c in ((full_objective(s)[0], s), (v, Q)):
+            corner = np.eye(k)[np.argmax(P / pface)]
+            if face_constraint(corner[None, :])[0] >= level:
+                P = _level_crossing(P, corner, face_constraint, level)[0]
+                v = full_objective(P)[0]
+        for c in ((full_objective(s)[0], s), (v, P)):
             if np.isfinite(c[0]):
                 candidates.append(c)
 
     if not candidates:
         raise SobolevError("no feasible point found; constraint level too high")
     vbest = min(c[0] for c in candidates)
-    Qbest = next(c[1] for c in candidates if c[0] == vbest)
-    return vbest, Qbest
+    Pbest = next(c[1] for c in candidates if c[0] == vbest)
+    return vbest, embed(Pbest)
 
 
 def xi_q(S: Semigroup, q, alpha, cfg: SolverConfig = SolverConfig(),
@@ -535,50 +550,14 @@ def xi_pq_n(S: Semigroup, p, q, n, alpha, cfg: SolverConfig = SolverConfig(),
             raise SobolevError("support-constrained route requires q > 1")
         if N > 16:
             raise SobolevError("support enumeration capped at |X|^n <= 16")
-        best, wit = INF, None
-        for idx in _support_masks(N, math.exp(-n * alpha), pin):
-            sub = np.array(idx)
-            # optimize on the face through a reduced semigroup is not possible
-            # (the generator does not restrict); embed face grids instead
-            k = len(sub)
-            if k == 1:
-                Q = np.zeros(N)
-                Q[sub[0]] = 1.0
-                v = _objective_one(S, n, q, Q / pin, pin)
-            else:
-                step = cfg.grid_step4 if k >= 4 else cfg.grid_step
-                face = _simplex_grid(k, step) if k <= 4 else None
-                seeds = []
-                if face is not None:
-                    grid = np.zeros((face.shape[0], N))
-                    grid[:, sub] = face
-                    vals = _objective_rows(S, n, q, grid / pin, pin)
-                    kk = int(np.argmin(vals))
-                    seeds.append(grid[kk])
-                unif = np.zeros(N)
-                unif[sub] = pin[sub] / pin[sub].sum()
-                seeds.append(unif)
-
-                def nm_obj(x, sub=sub):
-                    if np.any(x < 0) or x.sum() > 1.0:
-                        return INF
-                    Q = np.zeros(N)
-                    Q[sub] = np.append(x, 1.0 - x.sum())
-                    return _objective_one(S, n, q, Q / pin, pin)
-
-                v, Q = INF, None
-                for s in seeds:
-                    x, vv = _nelder_mead(nm_obj, s[sub][:-1], cfg)
-                    if vv < v:
-                        v = vv
-                        Q = np.zeros(N)
-                        Q[sub] = np.append(x, 1.0 - x.sum())
-            if v < best:
-                best, wit = v, Q
-        if wit is None:
-            raise SobolevError("no admissible support")
-        val = best / n
-        return (val, wit) if return_witness else val
+        # the support fixes the level, so each face is optimized without
+        # constraint; the first face of least value wins ties
+        val, Q = min((_optimize_density(S, n, q, None, None, cfg,
+                                        face=np.array(idx))
+                      for idx in _support_masks(N, math.exp(-n * alpha), pin)),
+                     key=lambda c: c[0])
+        val = val / n
+        return (val, Q) if return_witness else val
 
     gamma = p / q
     logpin = np.log(pin)

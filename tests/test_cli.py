@@ -231,6 +231,11 @@ GOLDEN_CASES.append(("extremal_dirac_mixture_n12.csv",
                      ["extremal", "--variant", "dirac-mixture", "--binary",
                       "--n", "12", "--p", "3", "--q", "2", "--eps", "0.2",
                       "--beta", "0.3"]))
+# support route (p = 0): CSV only, since its full-precision JSON moves in
+# the last bit with the optimizer's path
+GOLDEN_CASES += [(f"xi_binary_q{q}_p0_n2_grid16.csv",
+                  ["xi", "--binary", "--q", q, "--p", "0", "--n", "2",
+                   "--grid", "16"]) for q in ("2", "1.5")]
 
 
 class TestGoldenOutput:

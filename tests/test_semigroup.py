@@ -46,10 +46,6 @@ class TestValidation:
         assert np.allclose(S.stationary, [0.5, 0.5])
         assert np.allclose(S.generator, [[-0.5, 0.5], [0.5, -0.5]])
 
-    def test_zero_generator_any_pi(self):
-        S = validate_semigroup(np.zeros((2, 2)), [0.3, 0.7])
-        assert np.allclose(S.stationary, [0.3, 0.7])
-
     def test_bad_row_sum(self):
         with pytest.raises(SemigroupError):
             validate_semigroup([[-1.0, 2.0], [2.0, -1.0]])
@@ -61,15 +57,6 @@ class TestValidation:
     def test_negative_offdiag(self):
         with pytest.raises(SemigroupError):
             validate_semigroup([[1.0, -1.0], [-1.0, 1.0]])
-
-    def test_nonpositive_pi(self):
-        with pytest.raises(SemigroupError):
-            validate_semigroup(np.zeros((2, 2)), [1.0, 0.0])
-
-    def test_pi_not_stationary(self):
-        # nonuniform pi is not stationary for the symmetric cycle
-        with pytest.raises(SemigroupError):
-            validate_semigroup(cycle_generator(3), [0.5, 0.25, 0.25])
 
     def test_budget(self):
         with pytest.raises(SemigroupError):
@@ -285,9 +272,9 @@ class TestHelpers:
         assert list(d[1]) == [0, 0, 1]
 
     def test_pi_product(self):
-        S = validate_semigroup(np.zeros((2, 2)), [0.3, 0.7])
+        S = validate_semigroup(cycle_generator(3))
         pin = pi_product(S, 2)
-        assert np.allclose(pin, [0.09, 0.21, 0.21, 0.49])
+        assert np.allclose(pin, np.full(9, 1.0 / 9))
 
     def test_as_function_infers_n(self):
         f = as_function(np.ones(8), 2)

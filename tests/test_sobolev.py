@@ -40,6 +40,10 @@ def three_state_chain():
     return validate_semigroup(L)
 
 
+# symmetric rates of unequal weight
+WEIGHTED3 = [[-0.7, 0.2, 0.5], [0.2, -1.1, 0.9], [0.5, 0.9, -1.4]]
+
+
 class TestBinaryClosedForm:
     def test_zero_level(self):
         for q in (0, 0.5, 0.8, 1, 1.5, 2, 3, 10):
@@ -291,18 +295,26 @@ class TestXiPqN:
         S = binary_semigroup()
         assert xi_pq_n(S, 0, 2, 1, 0.2) == pytest.approx(0.5, abs=1e-12)
 
-    def test_support_route_eigen_oracle(self):
-        # q = 2 face minimum is a restricted eigenproblem; check n = 2
-        S = binary_semigroup()
-        alpha = 0.2
-        val = xi_pq_n(S, 0, 2, 2, alpha)
-        L1 = S.generator
-        Ln = np.kron(L1, np.eye(2)) + np.kron(np.eye(2), L1)
-        pin = np.full(4, 0.25)
+    @pytest.mark.parametrize("L1,n,alpha", [
+        ([[-0.5, 0.5], [0.5, -0.5]], 2, 0.2),
+        # weighted 3-letter chain, not a graph Laplacian: 2-state faces at
+        # n = 1, and 8-state faces at n = 2, beyond the dense face grids
+        (WEIGHTED3, 1, 0.3),
+        (WEIGHTED3, 2, 0.05),
+    ], ids=["binary-n2", "weighted3-n1", "weighted3-n2-8state"])
+    def test_support_route_eigen_oracle(self, L1, n, alpha):
+        # q = 2 face minimum is a restricted eigenproblem
+        S = validate_semigroup(L1)
+        val = xi_pq_n(S, 0, 2, n, alpha)
+        m = S.nstates
+        N = m ** n
+        Ln = sum(np.kron(np.kron(np.eye(m ** k), S.generator),
+                         np.eye(m ** (n - 1 - k))) for k in range(n))
+        pin = np.full(N, 1.0 / N)
         best = math.inf
-        for bits in range(1, 16):
-            idx = [i for i in range(4) if bits >> i & 1]
-            if len(idx) * 0.25 > math.exp(-2 * alpha) + 1e-12:
+        for bits in range(1, 1 << N):
+            idx = [i for i in range(N) if bits >> i & 1]
+            if pin[idx].sum() > math.exp(-n * alpha) + 1e-12:
                 continue
             # min of E(g,g)/<g,g>_pi over g supported on idx
             M = -(Ln[np.ix_(idx, idx)])
@@ -311,7 +323,7 @@ class TestXiPqN:
                 np.diag(pin[idx] ** -0.5) @ (W @ M)
                 @ np.diag(pin[idx] ** -0.5))
             best = min(best, evals.min())
-        assert val == pytest.approx(best / 2.0, abs=1e-8)
+        assert val == pytest.approx(best / n, abs=1e-8)
 
     def test_errors(self):
         S = binary_semigroup()
