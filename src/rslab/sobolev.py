@@ -23,7 +23,9 @@ exactly once), are polished by SLSQP with the divergence constraint as an
 inequality. The support faces of the p = 0 route go through the same
 pipeline, restricted to the face and without a constraint. The optimizer
 evaluates the Dirichlet form through `semigroup.dirichlet_rows` and the
-divergence through `entropy.renyi_rows`, a batch of rows per call.
+divergence through `entropy.renyi_rows`, a batch of rows per call. SLSQP gets
+exact gradients: the objective's from one `semigroup.generator_rows` call
+(`_objective_grad`), the divergence's in closed form (`entropy.renyi_grad`).
 
 The two-point chain admits a closed form (binary_xi_q) used as an oracle, in
 terms of y = h^{-1}(ln 2 - alpha) on [0, 1/2] (binary_xi_y for q > 0):
@@ -48,12 +50,13 @@ import numpy as np
 from scipy.optimize import minimize
 from scipy.special import logsumexp
 
-from .entropy import renyi_divergence, renyi_rows
+from .entropy import renyi_divergence, renyi_grad, renyi_rows
 from .semigroup import (
     ENUMERATION_BUDGET,
     NonnegFunction,
     Semigroup,
     dirichlet_rows,
+    generator_rows,
     pi_product,
     sequence_digits,
 )
@@ -294,6 +297,35 @@ def _objective_unmasked(S, n, q, D, pin):
         return vals / (q - 1.0)
 
 
+def _objective_grad(S, n, q, Q, pin):
+    """h = Q * dF/dQ of the objective F at one distribution Q on X^n, from
+    one generator call on a pair of rows; L is self-adjoint in L^2(pi^n).
+
+        q = 1:  -pi [D L ln D + L D]                  (rows D, ln D)
+        q = 0:   pi [D L(1/D) - (L D) / D]            (rows D, 1/D)
+        else:   -(pi/(q-1)) [u Lv / q + v Lu / q']    (rows u, v)
+
+    with D = Q/pi, u = D^{1/q} and v = D^{1/q'}. For q > 1 h is finite, and
+    zero, where Q is zero; for q <= 1 Q must be strictly positive (the
+    objective is inf otherwise).
+    """
+    D = Q / pin
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if q == 1:
+            A, B = D, np.log(D)
+        elif q == 0:
+            A, B = D, 1.0 / D
+        else:
+            qp = q / (q - 1.0)
+            A, B = D ** (1.0 / q), D ** (1.0 / qp)
+    LA, LB = generator_rows(S, np.stack([A, B]), n)
+    if q == 1:
+        return -pin * (D * LB + LA)
+    if q == 0:
+        return pin * (D * LB - LA / D)
+    return -(pin / (q - 1.0)) * (A * LB / q + B * LA / qp)
+
+
 def _objective_rows(S: Semigroup, n, q, Ds, pin):
     """Dirichlet objective of the density characterization, per row of Ds."""
     Ds = np.atleast_2d(Ds)
@@ -329,6 +361,13 @@ def _logvar_rows(Qs, pin, logpin):
     return out
 
 
+def _logvar_grad(Q, pin, logpin):
+    """h = Q * d/dQ of Var_pi(ln(Q/pi))/2 at one strictly positive Q:
+    pi (l - E_pi l) with l = ln(Q/pi)."""
+    logd = np.log(Q) - logpin
+    return pin * (logd - pin @ logd)
+
+
 def _level_crossing(out, inside, constraint_rows, level):
     """Bisect (1-t) out + t inside_i for each row inside_i, from an infeasible
     to a feasible point, to the constraint boundary; the just-feasible points
@@ -354,27 +393,44 @@ def _ray_seeds(pi_flat, constraint_rows, level):
     return list(_level_crossing(pi_flat, corners, constraint_rows, level))
 
 
-def _optimize_density(S, n, q, constraint_rows, level, cfg, extra_seeds=(),
+def _softmax_point(y):
+    """The point softmax(y, 0) of the simplex, for log-mass ratios y."""
+    y = np.append(y, 0.0)
+    w = np.exp(y - y.max())
+    return w / w.sum()
+
+
+def _y_gradient(h, P, face):
+    """Gradient in y of a function F of Q = embed(P), P = softmax(y, 0), from
+    h = Q * grad_Q F over X^n: (h - P sum h) on the face, last coordinate
+    dropped (face None is the whole simplex)."""
+    h = h if face is None else h[face]
+    return (h - P * h.sum())[:-1]
+
+
+def _optimize_density(S, n, q, pin, constraint, level, cfg, extra_seeds=(),
                       face=None):
     """Shared pipeline: feasible-restricted grid, ray seeds, SLSQP polish.
 
     Minimizes over the distributions Q on X^n supported on `face` (an index
-    array, the whole simplex by default); constraint_rows None means no
-    constraint, and extra_seeds are points of the face. The grid minimum
+    array, the whole simplex by default); pin is pi_product(S, n). The
+    constraint is None (no constraint) or a pair (rows, grad): rows(Qs)
+    evaluates it per row of Qs, and grad(Q) gives h = Q * (its gradient in
+    Q) at one Q. extra_seeds are points of the face. The grid minimum
     (faces of two to four states) and the ray seeds form the global layer:
     rays run from pi restricted to the face and normalized toward the face
     corners, and without a constraint that origin is itself the seed. Each
-    seed is then polished by SLSQP (finite-difference gradients), with the
-    divergence constraint as an inequality, over log-mass ratios y in
-    [-700, 700]^{k-1} with Q = softmax(y, 0) on the k face states, so the
-    simplex needs no constraint. A polished point that misses the level is
-    bisected back onto it. Seeds and polished points alike are scored by the
-    barrier objective (inf unless the constraint holds to 1e-13), so no
-    infeasible point is reported and no result is worse than its seed. A
-    one-state face is scored directly.
+    seed is then polished by SLSQP with exact gradients, with the divergence
+    constraint as an inequality, over log-mass ratios y in [-700, 700]^{k-1}
+    with Q = softmax(y, 0) on the k face states, so the simplex needs no
+    constraint. A polished point that misses the level is bisected back onto
+    it. Seeds and polished points alike are scored by the barrier objective
+    (inf unless the constraint holds to 1e-13), so no infeasible point is
+    reported and no result is worse than its seed. A one-state face is
+    scored directly.
     """
     N = S.nstates ** n
-    pin = pi_product(S, n)
+    constraint_rows, constraint_grad = constraint or (None, None)
 
     def embed(P):
         """Points of the face as points of X^n (rows when P is 2-D)."""
@@ -429,26 +485,30 @@ def _optimize_density(S, n, q, constraint_rows, level, cfg, extra_seeds=(),
     # polish over log-mass ratios y_i = ln(Q_i / Q_k): optima often sit on
     # a face (q > 1) or within 1e-10 of one (q <= 1), where the powers of Q
     # in objective and constraint have infinite slope in Q but not in y
-    def simplex_point(y):
-        y = np.append(y, 0.0)
-        w = np.exp(y - y.max())
-        return w / w.sum()
-
     def polish_objective(y):
-        return _objective_one(S, n, q, embed(simplex_point(y)) / pin, pin)
+        return _objective_one(S, n, q, embed(_softmax_point(y)) / pin, pin)
 
     def polish_constraint(y):
-        return face_constraint(simplex_point(y)[None, :])[0] - level
+        return face_constraint(_softmax_point(y)[None, :])[0] - level
+
+    def y_jac(grad):
+        def jac(y):
+            P = _softmax_point(y)
+            return _y_gradient(grad(embed(P)), P, face)
+        return jac
 
     bounds = [(-700.0, 700.0)] * (k - 1)
     constraints = ([] if constraint_rows is None else
-                   [{"type": "ineq", "fun": polish_constraint}])
+                   [{"type": "ineq", "fun": polish_constraint,
+                     "jac": y_jac(constraint_grad)}])
+    objective_jac = y_jac(lambda Q: _objective_grad(S, n, q, Q, pin))
     for s in seeds:
         ls = np.log(np.maximum(s, 1e-300))
         res = minimize(polish_objective, ls[:-1] - ls[-1], method="SLSQP",
-                       jac="3-point", bounds=bounds, constraints=constraints,
+                       jac=objective_jac, bounds=bounds,
+                       constraints=constraints,
                        options={"ftol": 1e-15, "maxiter": 200})
-        P = simplex_point(res.x)
+        P = _softmax_point(res.x)
         v = full_objective(P)[0]
         if not np.isfinite(v):
             # SLSQP can stop just outside the level set (1e-11 seen); the
@@ -485,10 +545,12 @@ def xi_q(S: Semigroup, q, alpha, cfg: SolverConfig = SolverConfig(),
     logpin = np.log(pin)
 
     if q == 0:
-        constraint = lambda Qs: _logvar_rows(Qs, pin, logpin)
+        constraint = (lambda Qs: _logvar_rows(Qs, pin, logpin),
+                      lambda Q: _logvar_grad(Q, pin, logpin))
     else:
-        constraint = lambda Qs: renyi_rows(Qs, pin, logpin, 1.0)
-    val, Q = _optimize_density(S, 1, q, constraint, alpha, cfg)
+        constraint = (lambda Qs: renyi_rows(Qs, pin, logpin, 1.0),
+                      lambda Q: renyi_grad(Q, pin, logpin, 1.0))
+    val, Q = _optimize_density(S, 1, q, pin, constraint, alpha, cfg)
     return (val, Q) if return_witness else val
 
 
@@ -552,7 +614,7 @@ def xi_pq_n(S: Semigroup, p, q, n, alpha, cfg: SolverConfig = SolverConfig(),
             raise SobolevError("support enumeration capped at |X|^n <= 16")
         # the support fixes the level, so each face is optimized without
         # constraint; the first face of least value wins ties
-        val, Q = min((_optimize_density(S, n, q, None, None, cfg,
+        val, Q = min((_optimize_density(S, n, q, pin, None, None, cfg,
                                         face=np.array(idx))
                       for idx in _support_masks(N, math.exp(-n * alpha), pin)),
                      key=lambda c: c[0])
@@ -561,7 +623,8 @@ def xi_pq_n(S: Semigroup, p, q, n, alpha, cfg: SolverConfig = SolverConfig(),
 
     gamma = p / q
     logpin = np.log(pin)
-    constraint = lambda Qs: renyi_rows(Qs, pin, logpin, gamma) / n
+    constraint = (lambda Qs: renyi_rows(Qs, pin, logpin, gamma) / n,
+                  lambda Q: renyi_grad(Q, pin, logpin, gamma) / n)
 
     extra = []
     if n >= 2 and m <= 4:
@@ -572,7 +635,7 @@ def xi_pq_n(S: Semigroup, p, q, n, alpha, cfg: SolverConfig = SolverConfig(),
         except SobolevError:
             pass
 
-    val, Q = _optimize_density(S, n, q, constraint, alpha, cfg,
+    val, Q = _optimize_density(S, n, q, pin, constraint, alpha, cfg,
                                extra_seeds=extra)
     val = val / n
     return (val, Q) if return_witness else val

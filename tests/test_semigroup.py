@@ -2,7 +2,7 @@ from functools import reduce
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -25,6 +25,7 @@ from rslab.semigroup import (
     sequence_digits,
     validate_semigroup,
 )
+from util import KERNEL_SETTINGS
 
 
 def cycle_generator(m):
@@ -287,11 +288,6 @@ class TestHelpers:
         pin = pi_product(S, 2)
         out = product_heat_apply(S, 0.7, v, 2)
         assert abs(pin @ out - pin @ v) < 1e-12
-
-
-# deterministic examples, so the suite gives the same verdict on every run
-KERNEL_SETTINGS = settings(derandomize=True, database=None, deadline=None,
-                           max_examples=60)
 
 
 @st.composite

@@ -2,15 +2,27 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from rslab import sobolev
+from rslab.entropy import renyi_grad, renyi_rows
 from rslab.semigroup import (
     Semigroup,
     binary_semigroup,
     dirichlet_form_raw,
+    pi_product,
     sequence_digits,
     validate_semigroup,
 )
 from rslab.sobolev import (
+    _logvar_grad,
+    _logvar_rows,
+    _objective_grad,
+    _objective_unmasked,
+    _softmax_point,
+    _y_gradient,
     ExtremalSpec,
     SampledCurve,
     SobolevError,
@@ -30,6 +42,7 @@ from rslab.sobolev import (
     xi_pq_n,
     xi_q,
 )
+from util import KERNEL_SETTINGS
 
 LN2 = math.log(2.0)
 
@@ -335,6 +348,162 @@ class TestXiPqN:
             xi_pq_n(S, 0, 1, 2, 0.2)     # support route needs q > 1
         with pytest.raises(SobolevError):
             xi_pq_n(S, 2, 2, 25, 0.2)    # budget
+
+
+@st.composite
+def positive_chain_points(draw):
+    """A random symmetric chain on k in {2, 3, 4} letters, a dimension n in
+    {1, 2, 3} and a strictly positive distribution Q on X^n."""
+    k = draw(st.integers(2, 4))
+    n = draw(st.integers(1, 3))
+    rates = draw(hnp.arrays(np.float64, (k, k), elements=st.floats(0, 2)))
+    A = np.triu(rates, 1)
+    A = A + A.T
+    S = validate_semigroup(A - np.diag(A.sum(axis=1)))
+    w = draw(hnp.arrays(np.float64, k ** n, elements=st.floats(0.05, 3)))
+    return S, n, w / w.sum()
+
+
+def central_differences(F, y, eps=1e-6):
+    out = np.empty_like(y)
+    for i in range(y.size):
+        e = np.zeros_like(y)
+        e[i] = eps
+        out[i] = (F(y + e) - F(y - e)) / (2 * eps)
+    return out
+
+
+def log_central_differences(F, Q):
+    """Central differences of F in ln Q: the h = Q * grad_Q F that the exact
+    gradients return."""
+    return central_differences(lambda z: F(np.exp(z)), np.log(Q), eps=1e-5)
+
+
+def assert_close_relative(got, want, rel=1e-6):
+    # the absolute 1e-9 covers the differences' rounding where the exact
+    # gradient vanishes (Q = pi): there they read ~1e-11, not 0
+    assert np.all(np.isfinite(got))
+    assert np.max(np.abs(got - want)) <= rel * np.max(np.abs(want)) + 1e-9
+
+
+def objective(S, n, q, pin):
+    return lambda Q: _objective_unmasked(S, n, q, (Q / pin)[None, :], pin)[0]
+
+
+class TestExactGradients:
+    """The gradients handed to SLSQP against central differences."""
+
+    @pytest.mark.parametrize("q", [0, 0.8, 1, 1.5, 2, 3])
+    @KERNEL_SETTINGS
+    @given(positive_chain_points())
+    def test_objective(self, q, case):
+        S, n, Q = case
+        pin = pi_product(S, n)
+        assert_close_relative(
+            _objective_grad(S, n, q, Q, pin),
+            log_central_differences(objective(S, n, q, pin), Q))
+
+    @pytest.mark.parametrize("gamma", [0.5, 1, 1.5, 2])
+    @KERNEL_SETTINGS
+    @given(positive_chain_points())
+    def test_renyi_constraint(self, gamma, case):
+        S, n, Q = case
+        pin = pi_product(S, n)
+        logpin = np.log(pin)
+        assert_close_relative(
+            renyi_grad(Q, pin, logpin, gamma),
+            log_central_differences(
+                lambda R: renyi_rows(R, pin, logpin, gamma)[0], Q))
+
+    def test_renyi_constraint_infinite_order(self):
+        # ln max Q/pi: h is the indicator of the (here unique) argmax
+        pin = np.full(4, 0.25)
+        Q = np.array([0.1, 0.45, 0.2, 0.25])
+        h = renyi_grad(Q, pin, np.log(pin), math.inf)
+        assert np.array_equal(h, [0.0, 1.0, 0.0, 0.0])
+        assert_close_relative(h, log_central_differences(
+            lambda R: renyi_rows(R, pin, np.log(pin), math.inf)[0], Q))
+
+    @KERNEL_SETTINGS
+    @given(positive_chain_points())
+    def test_log_variance_constraint(self, case):
+        S, n, Q = case
+        pin = pi_product(S, n)
+        logpin = np.log(pin)
+        assert_close_relative(
+            _logvar_grad(Q, pin, logpin),
+            log_central_differences(
+                lambda R: _logvar_rows(R, pin, logpin)[0], Q))
+
+    def test_y_gradient_on_a_proper_face(self):
+        S = validate_semigroup(WEIGHTED3)
+        n = 2
+        pin = pi_product(S, n)
+        logpin = np.log(pin)
+        face = np.array([0, 2, 3, 5, 7])
+        y = np.random.default_rng(3).uniform(-2, 2, face.size - 1)
+
+        def embed(P):
+            Q = np.zeros(pin.size)
+            Q[face] = P
+            return Q
+
+        for F, grad in (
+                (objective(S, n, 2.5, pin),
+                 lambda Q: _objective_grad(S, n, 2.5, Q, pin)),
+                (lambda Q: renyi_rows(Q, pin, logpin, 0.75)[0],
+                 lambda Q: renyi_grad(Q, pin, logpin, 0.75))):
+            P = _softmax_point(y)
+            assert_close_relative(
+                _y_gradient(grad(embed(P)), P, face),
+                central_differences(lambda z: F(embed(_softmax_point(z))), y))
+
+    def test_y_gradient_finite_where_softmax_underflows(self):
+        S = three_state_chain()
+        pin = S.stationary
+        logpin = np.log(pin)
+        P = _softmax_point(np.array([700.0, -700.0]))
+        assert P[1] == 0.0 and P[2] > 0.0
+        for h in (_objective_grad(S, 1, 2, P, pin),
+                  renyi_grad(P, pin, logpin, 1.0),
+                  renyi_grad(P, pin, logpin, 1.5)):
+            assert np.all(np.isfinite(_y_gradient(h, P, None)))
+
+
+class TestPolishGradients:
+    @pytest.mark.parametrize("route", ["xi_q-q0", "xi_q-q2", "xi_pq_n",
+                                       "support"])
+    def test_every_polish_gets_exact_jacobians(self, monkeypatch, route):
+        # a later edit must not fall back to finite differences in silence
+        calls = []
+        real = sobolev.minimize
+
+        def recording(fun, x0, **kwargs):
+            calls.append((fun, np.array(x0), kwargs))
+            return real(fun, x0, **kwargs)
+
+        monkeypatch.setattr(sobolev, "minimize", recording)
+        S = binary_semigroup()
+        if route == "xi_q-q0":
+            xi_q(three_state_chain(), 0, 0.3)
+        elif route == "xi_q-q2":
+            xi_q(three_state_chain(), 2, 0.3)
+        elif route == "xi_pq_n":
+            xi_pq_n(S, 1.5, 2, 2, 0.3)
+        else:
+            xi_pq_n(S, 0, 2, 2, 0.2)
+        assert calls
+        for fun, x0, kwargs in calls:
+            assert callable(kwargs.get("jac"))
+            for con in kwargs.get("constraints", ()):
+                assert callable(con.get("jac"))
+            # and each is the gradient of its function at the seed
+            pairs = [(fun, kwargs["jac"])] + [
+                (con["fun"], con["jac"]) for con in kwargs["constraints"]]
+            for f, jac in pairs:
+                assert_close_relative(jac(x0), central_differences(f, x0))
+        if route != "support":
+            assert all(kwargs["constraints"] for _, _, kwargs in calls)
 
 
 def bern(y):
