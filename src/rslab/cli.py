@@ -22,10 +22,11 @@ import numpy as np
 from .concentration import (GAUSSIAN_FAMILY, QuadratureError, beta_binary,
                             concentration_bound, gaussian_bound,
                             gaussian_q_star, hypercube_bound, xi_inverse)
-from .graph_spectral import (Graph, SubgraphView, complete_graph, cycle_graph,
-                             faber_krahn_bound, faber_krahn_exact,
-                             graph_generator, hypercube_graph, load_graph,
-                             q_radius, subgraph_q_radius)
+from .graph_spectral import (ConvergenceError, Graph, SubgraphView,
+                             complete_graph, cycle_graph, faber_krahn_bound,
+                             faber_krahn_exact, graph_generator,
+                             hypercube_graph, load_graph, q_radius,
+                             subgraph_q_radius)
 from .semigroup import (apply_generator, as_function, binary_semigroup,
                         derivative_check, dirichlet_form, heat_operator,
                         load_generator, pi_product, validate_semigroup)
@@ -251,8 +252,7 @@ def cmd_faber_krahn(cfg: RunConfig) -> int:
     if cfg.bound:
         S = graph_generator(base)
         curve = conv_envelope(sample_xi_curve(S, cfg.q, cfg.grid))
-        d = int(round(base.adjacency.sum(axis=1)[0]))
-        ub = faber_krahn_bound(d, cfg.q, curve, cfg.n, cfg.m)
+        ub = faber_krahn_bound(base.degree, cfg.q, curve, cfg.n, cfg.m)
         columns.append("bound")
         row.append(ub)
     emit(cfg, tuple(columns), [tuple(row)])
@@ -559,10 +559,8 @@ def main(argv=None) -> int:
     try:
         cfg = config_from_args(args)
         return DISPATCH[cfg.subcommand](cfg)
-    except QuadratureError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except (FloatingPointError, np.linalg.LinAlgError) as exc:
+    except (QuadratureError, ConvergenceError, FloatingPointError,
+            np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ValueError, OSError) as exc:

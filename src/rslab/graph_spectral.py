@@ -7,10 +7,12 @@ For a d-regular graph with adjacency A and a nonnegative f, the quotient
 has limit branches at q in {0, 1, infinity} involving the support boundary
 weight theta = sum_{x in supp(f), y not in supp(f)} f(x) A_{x,y}. Its maximum
 over f is the q-radius rho_q(A): exactly the max row sum at q = 1, the max
-column sum at q = infinity, the spectral radius at q = 2, and +infinity at
-q = 0. For other q the maximum is found by reparametrizing f = Q^{1/q} over
-distributions Q and iterating a multiplicative fixed-point update, so the
-reported value is a best-found lower bound together with a certificate.
+column sum at q = infinity, and +infinity at q = 0. For finite q > 1 (the
+spectral radius at q = 2 included) the maximum is found by reparametrizing
+f = Q^{1/q} over distributions Q and iterating a multiplicative fixed-point
+update from the uniform law. Every step brackets rho_q between two computed
+numbers; the reported value is the lower end once the bracket is narrower
+than RADIUS_RTOL relative, and ConvergenceError is raised if it never is.
 
 The size-constrained maximum over induced subgraphs,
 
@@ -41,9 +43,18 @@ INF = float("inf")
 # dense adjacency cap: every contracted use sits at or below 2^12 vertices
 DENSE_VERTEX_BUDGET = 4096
 
+# the q-radius loop stops once its certified bracket is this narrow
+# (relative), and fails loudly after this many steps
+RADIUS_RTOL = 1e-10
+RADIUS_MAXITER = 10000
+
 
 class GraphError(ValueError):
     pass
+
+
+class ConvergenceError(GraphError):
+    """The q-radius iteration hit its cap before its bracket closed."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,72 +210,44 @@ def rayleigh_q(A, f, q) -> float:
     return num / float((v[sup] ** q).sum())
 
 
-@dataclass(frozen=True)
-class RadiusConfig:
-    starts: int = 16
-    maxiter: int = 10000
-    tol: float = 1e-12
-    power_tol: float = 1e-10
-    seed: int = 0
+def _fixed_point_radius(A, q):
+    """Certified lower bound on rho_q(A) for finite q > 1, and its witness.
 
+    For a distribution Q put u = Q^{1/q}, w = Q^{1/q'} and
+    T = u (Aw) / q + w (Au) / q'. For every such Q,
 
-def _power_radius(A, tol):
-    # spectral radius of a symmetric nonnegative matrix; the diagonal shift
-    # keeps the iteration from oscillating on bipartite graphs
-    n = A.shape[0]
-    shift = float(A.sum(axis=1).max()) + 1.0
-    B = A + shift * np.eye(n)
-    # slight tilt keeps the start off any eigenspace boundary
-    v = 1.0 + np.arange(n) / max(n, 2) ** 2
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(100000):
-        w = B @ v
-        nrm = np.linalg.norm(w)
-        if nrm == 0:
-            return 0.0, v
-        v = w / nrm
-        new = float(v @ B @ v)
-        if abs(new - lam) <= tol:
-            return new - shift, np.abs(v)
-        lam = new
-    return lam - shift, np.abs(v)
+        sum T = u A w  <=  rho_q(A)  <=  max_{Q_x > 0} T_x / Q_x
 
-
-def _fixed_point_radius(A, q, cfg: RadiusConfig):
-    """Best-found max of sum Q^{1/q} A Q^{1/q'} over distributions Q."""
-    n = A.shape[0]
+    (the upper side is weighted AM-GM term by term, using the symmetry of A;
+    at q = 2 it is the Collatz-Wielandt bound). The bracket is global, so one
+    start from the uniform law is enough: Q <- T / sum T until the bracket
+    closes to RADIUS_RTOL relative, then sum T is reported. Isolated vertices
+    leave the support after one step; an edgeless matrix scores 0.
+    """
     qp = q / (q - 1.0)
-
-    def value(Q):
-        return float(Q ** (1.0 / q) @ A @ Q ** (1.0 / qp))
-
-    rng = np.random.default_rng(cfg.seed)
-    starts = [np.full(n, 1.0 / n)]
-    starts += [rng.dirichlet(np.ones(n)) for _ in range(cfg.starts)]
-    best, bestQ = 0.0, starts[0]
-    for Q in starts:
-        val = value(Q)
-        for _ in range(cfg.maxiter):
-            u, w = Q ** (1.0 / q), Q ** (1.0 / qp)
-            upd = (u * (A @ w)) / q + (w * (A @ u)) / qp
-            s = upd.sum()
-            if s <= 0:
-                break
-            Q = upd / s
-            new = value(Q)
-            if abs(new - val) <= cfg.tol * max(1.0, abs(new)):
-                val = new
-                break
-            val = new
-        if val > best:
-            best, bestQ = val, Q
-    return best, bestQ
+    Q = np.full(A.shape[0], 1.0 / A.shape[0])
+    for _ in range(RADIUS_MAXITER):
+        u, w = Q ** (1.0 / q), Q ** (1.0 / qp)
+        T = u * (A @ w) / q + w * (A @ u) / qp
+        s = float(T.sum())
+        if s <= 0.0:
+            return 0.0, u
+        sup = Q > 0
+        if float((T[sup] / Q[sup]).max()) - s <= RADIUS_RTOL * s:
+            return s, u
+        Q = T / s
+    raise ConvergenceError(
+        f"q-radius bracket at q = {q:g} still wider than {RADIUS_RTOL:g} "
+        f"relative after {RADIUS_MAXITER} steps")
 
 
-def q_radius(A, q, cfg: RadiusConfig = RadiusConfig(),
-             return_witness=False):
-    """max_f R_q(A, f) for q in [1, inf], plus the q = 0 convention."""
+def q_radius(A, q, return_witness=False):
+    """max_f R_q(A, f) for q in [1, inf], plus the q = 0 convention.
+
+    Exact closed forms at q in {0, 1, inf}. For finite q > 1 the value is a
+    certified lower bound whose bracket has relative width <= RADIUS_RTOL
+    (see `_fixed_point_radius`); ConvergenceError if it does not close.
+    """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise GraphError("matrix must be square")
@@ -290,17 +273,12 @@ def q_radius(A, q, cfg: RadiusConfig = RadiusConfig(),
         wit = np.full(A.shape[0], 1.0 - 1e-9)
         wit[int(cols.argmax())] = 1.0
         return (val, wit) if return_witness else val
-    if q == 2:
-        val, wit = _power_radius(A, cfg.power_tol)
-        return (val, wit) if return_witness else val
-    val, Q = _fixed_point_radius(A, q, cfg)
-    wit = Q ** (1.0 / q)
+    val, wit = _fixed_point_radius(A, q)
     return (val, wit) if return_witness else val
 
 
-def subgraph_q_radius(view: SubgraphView, q,
-                      cfg: RadiusConfig = RadiusConfig()):
-    return q_radius(view.submatrix, q, cfg)
+def subgraph_q_radius(view: SubgraphView, q):
+    return q_radius(view.submatrix, q)
 
 
 @dataclass(frozen=True)
@@ -309,8 +287,7 @@ class FaberKrahnResult:
     witness: tuple
 
 
-def faber_krahn_exact(G: Graph, n: int, q, m: int,
-                      cfg: RadiusConfig = RadiusConfig()) -> FaberKrahnResult:
+def faber_krahn_exact(G: Graph, n: int, q, m: int) -> FaberKrahnResult:
     """max rho_q over induced subgraphs of G^n with at most m vertices.
 
     Exhaustive over supports of size exactly m: enlarging the support can
@@ -318,6 +295,11 @@ def faber_krahn_exact(G: Graph, n: int, q, m: int,
     not beat the incumbent are pruned (rho_q <= max row sum for q in
     [1, inf]). Enumeration is unrestricted; connected-only enumeration is an
     optimization whose soundness for general q is not settled here.
+
+    Each subset's rho_q is `eigvalsh` at q = 2 (kept apart from the q-radius
+    solver so the dual-route identity compares two independent routes), the
+    exact max row sum at q = 1, and otherwise `q_radius`'s certified lower
+    bound, within RADIUS_RTOL relative of the true value.
     """
     if q != 2 and not (1 <= q < INF):
         raise GraphError("requires q in [1, inf)")
@@ -339,7 +321,7 @@ def faber_krahn_exact(G: Graph, n: int, q, m: int,
         if q == 2:
             val = float(np.linalg.eigvalsh(sub)[-1])
         else:
-            val = q_radius(sub, q, cfg)
+            val = q_radius(sub, q)
         if val > best + 1e-12:
             best, wit = val, subset
     return FaberKrahnResult(best, wit)

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rslab import cli
+from rslab import cli, graph_spectral
 from rslab.concentration import QuadratureError
 from rslab.semigroup import binary_semigroup
 from rslab.sobolev import binary_xi_q, xi_pq_n, xi_q
@@ -119,6 +119,13 @@ class TestQRadius:
         assert rc == 0
         assert float(parse_csv(out)[0]["value"]) == pytest.approx(
             math.sqrt(2.0), abs=1e-8)
+
+    def test_subset_spectral_radius_to_twelve_digits(self):
+        rc, out, _ = run_cli(["qradius", "--graph", "cycle", "5", "--q", "2",
+                              "--subset", "0", "1", "2", "--format", "json"])
+        assert rc == 0
+        val = json.loads(out)["rows"][0]["value"]
+        assert val == pytest.approx(math.sqrt(2.0), rel=1e-12)
 
     def test_graph_file(self, tmp_path):
         path = tmp_path / "tri.g"
@@ -293,6 +300,15 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "hypercube_bound", boom)
         rc, _, err = run_cli(["concentration", "--family", "binary",
                               "--n", "4", "--p", "0", "--r", "1"])
+        assert rc == 2
+        assert "numerical failure" in err
+
+    def test_radius_cap_maps_to_two(self, monkeypatch):
+        # the path inside C5 is not regular, so one step cannot close the
+        # bracket
+        monkeypatch.setattr(graph_spectral, "RADIUS_MAXITER", 1)
+        rc, _, err = run_cli(["qradius", "--graph", "cycle", "5", "--q", "2",
+                              "--subset", "0", "1", "2"])
         assert rc == 2
         assert "numerical failure" in err
 

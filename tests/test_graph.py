@@ -5,10 +5,11 @@ import pytest
 
 from rslab.graph_spectral import (
     INF,
+    RADIUS_RTOL,
+    ConvergenceError,
     FaberKrahnResult,
     Graph,
     GraphError,
-    RadiusConfig,
     SubgraphView,
     cartesian_power,
     complete_graph,
@@ -255,11 +256,57 @@ class TestQRadius:
             val, wit = q_radius(A, INF, return_witness=True)
             assert rayleigh_q(A, wit, INF) == pytest.approx(val, rel=1e-8)
 
-    def test_seeded_restarts_are_deterministic(self):
-        cfg = RadiusConfig(starts=8, seed=5)
-        a = q_radius(STAR4, 1.7, cfg)
-        b = q_radius(STAR4, 1.7, cfg)
-        assert a == b
+    def test_repeated_calls_are_bit_identical(self):
+        for A in (P3, STAR4):
+            for q in (1.7, 2.0, 4.0):
+                a, wa = q_radius(A, q, return_witness=True)
+                b, wb = q_radius(A, q, return_witness=True)
+                assert a == b
+                assert np.array_equal(wa, wb)
+
+
+def random_graph(nv, p, rng):
+    A = np.triu((rng.random((nv, nv)) < p).astype(float), 1)
+    return A + A.T
+
+
+class TestRadiusCertificate:
+    """sum T(Q) <= rho_q <= max T(Q)/Q for Q = wit^q, rebuilt here."""
+
+    def test_bracket_closes_on_random_graphs(self):
+        rng = np.random.default_rng(2024)
+        graphs = [random_graph(int(rng.integers(3, 12)),
+                               rng.uniform(0.2, 0.8), rng) for _ in range(24)]
+        # two components, a graph with isolated vertices, an edgeless one
+        graphs.append(np.kron(np.eye(2), complete_graph(3).adjacency))
+        graphs.append(np.pad(STAR4, (0, 3)))
+        graphs.append(np.zeros((3, 3)))
+        for A in graphs:
+            for q in (1.01, 1.25, 1.5, 2.0, 3.0, 10.0, 50.0):
+                val, wit = q_radius(A, q, return_witness=True)
+                if not A.any():
+                    assert val == 0.0
+                    continue
+                Q = wit ** q
+                u, w = Q ** (1.0 / q), Q ** (1.0 - 1.0 / q)
+                T = u * (A @ w) / q + w * (A @ u) * (1.0 - 1.0 / q)
+                low, sup = T.sum(), Q > 0
+                high = (T[sup] / Q[sup]).max()
+                assert val == pytest.approx(low, rel=1e-13)
+                assert high - low <= RADIUS_RTOL * low
+                if q == 2.0:
+                    top = np.linalg.eigvalsh(A)[-1]
+                    assert val == pytest.approx(top, rel=1e-10)
+
+    def test_cap_fails_loudly(self):
+        # spectral radii 1 and 1 - 1e-7: the mass on the second block decays
+        # by 1 - 1e-7 per step, so the bracket cannot close within the cap
+        A = np.zeros((4, 4))
+        A[0, 1] = A[1, 0] = 1.0
+        A[2, 3] = A[3, 2] = 1.0 - 1e-7
+        for q in (1.5, 2.0, 3.0):
+            with pytest.raises(ConvergenceError):
+                q_radius(A, q)
 
 
 class TestSubgraphRadius:
