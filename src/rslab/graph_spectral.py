@@ -251,7 +251,7 @@ def q_radius(A, q, return_witness=False):
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise GraphError("matrix must be square")
-    if np.any(A < 0) or not np.allclose(A, A.T, atol=0):
+    if np.any(A < 0) or not np.array_equal(A, A.T):
         raise GraphError("matrix must be nonnegative symmetric")
     if q == 0:
         return (INF, None) if return_witness else INF

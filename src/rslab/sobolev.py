@@ -15,17 +15,18 @@ and the n-letter two-parameter version
     xi_pq_n(alpha) = inf { (1/((q-1) n)) E_n(D^{1/q}, D^{1/q'}) :
                            (1/n) D_{p/q}(Q || pi^n) >= alpha }.
 
-Reported values are best-found upper bounds on the infimum: the best point
-of a dense simplex grid restricted to feasible points, and extra starts
-obtained by bisecting rays from pi toward the simplex corners to the
-constraint boundary (convexity of the divergence in Q makes each ray cross it
-exactly once), are polished by SLSQP with the divergence constraint as an
-inequality. The support faces of the p = 0 route go through the same
-pipeline, restricted to the face and without a constraint. The optimizer
-evaluates the Dirichlet form through `semigroup.dirichlet_rows` and the
-divergence through `entropy.renyi_rows`, a batch of rows per call. SLSQP gets
-exact gradients: the objective's from one `semigroup.generator_rows` call
-(`_objective_grad`), the divergence's in closed form (`entropy.renyi_grad`).
+Reported values are best-found upper bounds on the infimum. Under a
+constraint, the feasible minimum of a dense simplex grid (two to four states)
+and starts obtained by bisecting rays from pi toward the simplex corners to
+the constraint boundary (convexity of the divergence in Q makes each ray
+cross it exactly once) are polished by SLSQP with the divergence constraint
+as an inequality; xi_q at q > 0 is xi_pq_n at p = q, n = 1. The p = 0
+support faces, where the objective is convex, get one polish without a
+constraint from pi restricted to the face. The optimizer evaluates the
+Dirichlet form through `semigroup.dirichlet_rows` and the divergence through
+`entropy.renyi_rows`, a batch of rows per call. SLSQP gets exact gradients:
+the objective's from one `semigroup.generator_rows` call (`_objective_grad`),
+the divergence's in closed form (`entropy.renyi_grad`).
 
 The two-point chain admits a closed form (binary_xi_q) used as an oracle, in
 terms of y = h^{-1}(ln 2 - alpha) on [0, 1/2] (binary_xi_y for q > 0):
@@ -251,14 +252,9 @@ def lsi_constant(curve: SampledCurve, q) -> float:
 # simplex optimizer
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    """Simplex optimizer settings: the dense grid steps for faces of two or
-    three states and of four states, and the number of seeds polished."""
-
-    grid_step: float = 1.0 / 400     # dense grid for 2- and 3-letter alphabets
-    grid_step4: float = 1.0 / 60     # coarser grid for 4-cell simplices
-    multistart: int = 16
+GRID_STEP = 1.0 / 400      # dense grid for 2- and 3-state simplices
+GRID_STEP4 = 1.0 / 60      # coarser grid for 4-state simplices
+MULTISTART = 16            # seeds polished per call
 
 
 def _simplex_grid(m, step):
@@ -408,21 +404,24 @@ def _y_gradient(h, P, face):
     return (h - P * h.sum())[:-1]
 
 
-def _optimize_density(S, n, q, pin, constraint, level, cfg, extra_seeds=(),
+def _optimize_density(S, n, q, pin, constraint, level, extra_seeds=(),
                       face=None):
-    """Shared pipeline: feasible-restricted grid, ray seeds, SLSQP polish.
+    """Shared pipeline: seeds, then an SLSQP polish of each.
 
-    Minimizes over the distributions Q on X^n supported on `face` (an index
-    array, the whole simplex by default); pin is pi_product(S, n). The
-    constraint is None (no constraint) or a pair (rows, grad): rows(Qs)
-    evaluates it per row of Qs, and grad(Q) gives h = Q * (its gradient in
-    Q) at one Q. extra_seeds are points of the face. The grid minimum
-    (faces of two to four states) and the ray seeds form the global layer:
-    rays run from pi restricted to the face and normalized toward the face
-    corners, and without a constraint that origin is itself the seed. Each
-    seed is then polished by SLSQP with exact gradients, with the divergence
-    constraint as an inequality, over log-mass ratios y in [-700, 700]^{k-1}
-    with Q = softmax(y, 0) on the k face states, so the simplex needs no
+    Minimizes over distributions Q on X^n; pin is pi_product(S, n). Either
+    constraint is a pair (rows, grad), rows(Qs) evaluating it per row of Qs
+    and grad(Q) giving h = Q * (its gradient in Q) at one Q, and Q ranges
+    over the whole simplex with rows(Q) >= level; or constraint is None and
+    Q ranges over the distributions supported on `face` (an index array), at
+    q > 1. extra_seeds are further starts.
+
+    Under a constraint the global layer is the feasible minimum of a dense
+    grid (two to four states) and the rays from pi toward the corners,
+    bisected to the level. On a face the objective is convex (see xi_pq_n),
+    so the one seed is pi restricted to the face and normalized. Each seed is
+    polished by SLSQP with exact gradients, with the divergence constraint
+    as an inequality, over log-mass ratios y in [-700, 700]^{k-1} with
+    Q = softmax(y, 0) on the k states searched, so the simplex needs no
     constraint. A polished point that misses the level is bisected back onto
     it. Seeds and polished points alike are scored by the barrier objective
     (inf unless the constraint holds to 1e-13), so no infeasible point is
@@ -441,14 +440,9 @@ def _optimize_density(S, n, q, pin, constraint, level, cfg, extra_seeds=(),
         return Q
 
     if face is None:
-        k, pface, origin = N, pin, pin
-        face_constraint = constraint_rows
+        k, origin = N, pin
     else:
-        k, pface = len(face), pin[face]
-        origin = pface / pface.sum()
-
-        def face_constraint(Ps):
-            return constraint_rows(embed(Ps))
+        k, origin = len(face), pin[face] / pin[face].sum()
 
     def full_objective(Ps):
         Qs = np.atleast_2d(embed(Ps))
@@ -465,22 +459,19 @@ def _optimize_density(S, n, q, pin, constraint, level, cfg, extra_seeds=(),
         return full_objective(np.ones(1))[0], embed(np.ones(1))
 
     candidates = []
-    if k <= 4:
-        step = cfg.grid_step if k <= 3 else cfg.grid_step4
-        grid = _simplex_grid(k, step)
-        vals = full_objective(grid)
-        i = int(np.argmin(vals))     # ties resolve to the smallest index
-        if np.isfinite(vals[i]):
-            candidates.append((vals[i], grid[i]))
-
     seeds = [np.asarray(s, dtype=float) for s in extra_seeds]
-    if candidates:
-        seeds.append(candidates[0][1])
     if constraint_rows is None:
         seeds.append(origin)
     else:
-        seeds.extend(_ray_seeds(origin, face_constraint, level))
-    seeds = seeds[: cfg.multistart]
+        if k <= 4:
+            grid = _simplex_grid(k, GRID_STEP if k <= 3 else GRID_STEP4)
+            vals = full_objective(grid)
+            i = int(np.argmin(vals))     # ties resolve to the smallest index
+            if np.isfinite(vals[i]):
+                candidates.append((vals[i], grid[i]))
+                seeds.append(grid[i])
+        seeds.extend(_ray_seeds(origin, constraint_rows, level))
+    seeds = seeds[:MULTISTART]
 
     # polish over log-mass ratios y_i = ln(Q_i / Q_k): optima often sit on
     # a face (q > 1) or within 1e-10 of one (q <= 1), where the powers of Q
@@ -489,7 +480,7 @@ def _optimize_density(S, n, q, pin, constraint, level, cfg, extra_seeds=(),
         return _objective_one(S, n, q, embed(_softmax_point(y)) / pin, pin)
 
     def polish_constraint(y):
-        return face_constraint(_softmax_point(y)[None, :])[0] - level
+        return constraint_rows(_softmax_point(y)[None, :])[0] - level
 
     def y_jac(grad):
         def jac(y):
@@ -513,9 +504,9 @@ def _optimize_density(S, n, q, pin, constraint, level, cfg, extra_seeds=(),
         if not np.isfinite(v):
             # SLSQP can stop just outside the level set (1e-11 seen); the
             # divergence grows from Q toward the corner of the largest Q/pi
-            corner = np.eye(k)[np.argmax(P / pface)]
-            if face_constraint(corner[None, :])[0] >= level:
-                P = _level_crossing(P, corner, face_constraint, level)[0]
+            corner = np.eye(k)[np.argmax(P / pin)]
+            if constraint_rows(corner[None, :])[0] >= level:
+                P = _level_crossing(P, corner, constraint_rows, level)[0]
                 v = full_objective(P)[0]
         for c in ((full_objective(s)[0], s), (v, P)):
             if np.isfinite(c[0]):
@@ -528,35 +519,34 @@ def _optimize_density(S, n, q, pin, constraint, level, cfg, extra_seeds=(),
     return vbest, embed(Pbest)
 
 
-def xi_q(S: Semigroup, q, alpha, cfg: SolverConfig = SolverConfig(),
-         return_witness=False):
-    """Single-letter curve value at entropy level alpha (best-found bound)."""
+def xi_q(S: Semigroup, q, alpha, return_witness=False):
+    """Single-letter curve value at entropy level alpha (best-found bound).
+
+    For q > 0 this is xi_pq_n at p = q and n = 1 (the KL constraint); q = 0
+    takes the log-variance constraint.
+    """
     if q < 0 or np.isinf(q):
         raise SobolevError("order q must be finite and nonnegative")
-    m = S.nstates
-    if m > 4:
+    if S.nstates > 4:
         raise SobolevError("dense simplex solver supports |X| <= 4")
     hi = -math.log(float(S.stationary.min()))
     if not (0 <= alpha < hi):
         raise SobolevError(f"alpha {alpha} outside [0, {hi})")
     if alpha == 0:
         return (0.0, S.stationary.copy()) if return_witness else 0.0
+    if q > 0:
+        return xi_pq_n(S, q, q, 1, alpha, return_witness=return_witness)
     pin = S.stationary
     logpin = np.log(pin)
-
-    if q == 0:
-        constraint = (lambda Qs: _logvar_rows(Qs, pin, logpin),
-                      lambda Q: _logvar_grad(Q, pin, logpin))
-    else:
-        constraint = (lambda Qs: renyi_rows(Qs, pin, logpin, 1.0),
-                      lambda Q: renyi_grad(Q, pin, logpin, 1.0))
-    val, Q = _optimize_density(S, 1, q, pin, constraint, alpha, cfg)
+    constraint = (lambda Qs: _logvar_rows(Qs, pin, logpin),
+                  lambda Q: _logvar_grad(Q, pin, logpin))
+    val, Q = _optimize_density(S, 1, q, pin, constraint, alpha)
     return (val, Q) if return_witness else val
 
 
-def sample_xi_curve(S, q, size=64, cfg=SolverConfig()):
+def sample_xi_curve(S, q, size=64):
     grid = alpha_grid(S.stationary, size)
-    vals = np.array([xi_q(S, q, a, cfg) for a in grid])
+    vals = np.array([xi_q(S, q, a) for a in grid])
     return SampledCurve(grid, vals, "xi_q", q, nstates=S.nstates)
 
 
@@ -578,16 +568,19 @@ def _support_masks(N, max_mass, pin):
     return [tuple(i for i in range(N) if b >> i & 1) for b in keep]
 
 
-def xi_pq_n(S: Semigroup, p, q, n, alpha, cfg: SolverConfig = SolverConfig(),
-            return_witness=False):
+def xi_pq_n(S: Semigroup, p, q, n, alpha, return_witness=False):
     """n-letter two-parameter curve value (best-found upper bound).
 
     The density characterization turns the functional problem into one over
     distributions Q on X^n: constraint (1/n) D_{p/q}(Q || pi^n) >= alpha,
     objective (1/((q-1) n)) E_n(D^{1/q}, D^{1/q'}) with D = Q/pi^n. For p = 0
     the constraint only restricts the support mass, so supports are enumerated
-    and each face is optimized without constraint (q > 1 only: the limit
-    objectives blow up on proper faces).
+    and each maximal face is optimized without constraint (q > 1 only: the
+    limit objectives blow up on proper faces). There the objective is
+    convex: it is (1/(q-1)) [sum_x deg_x Q_x - sum_{x != y} pi_x L_xy
+    (Q_x/pi_x)^{1/q} (Q_y/pi_y)^{1/q'}], a linear term minus nonnegative
+    multiples of weighted geometric means (exponents summing to one, so
+    concave), so one polish per face from its own law suffices.
     """
     if q < 0 or np.isinf(q):
         raise SobolevError("order q must be finite and nonnegative")
@@ -602,10 +595,9 @@ def xi_pq_n(S: Semigroup, p, q, n, alpha, cfg: SolverConfig = SolverConfig(),
     hi = -math.log(float(S.stationary.min()))
     if not (0 <= alpha < hi):
         raise SobolevError(f"alpha {alpha} outside [0, {hi})")
-    if alpha == 0:
-        pin = pi_product(S, n)
-        return (0.0, pin.copy()) if return_witness else 0.0
     pin = pi_product(S, n)
+    if alpha == 0:
+        return (0.0, pin.copy()) if return_witness else 0.0
 
     if p == 0:
         if q <= 1:
@@ -614,7 +606,7 @@ def xi_pq_n(S: Semigroup, p, q, n, alpha, cfg: SolverConfig = SolverConfig(),
             raise SobolevError("support enumeration capped at |X|^n <= 16")
         # the support fixes the level, so each face is optimized without
         # constraint; the first face of least value wins ties
-        val, Q = min((_optimize_density(S, n, q, pin, None, None, cfg,
+        val, Q = min((_optimize_density(S, n, q, pin, None, None,
                                         face=np.array(idx))
                       for idx in _support_masks(N, math.exp(-n * alpha), pin)),
                      key=lambda c: c[0])
@@ -630,12 +622,12 @@ def xi_pq_n(S: Semigroup, p, q, n, alpha, cfg: SolverConfig = SolverConfig(),
     if n >= 2 and m <= 4:
         # product of single-letter optimizers: matches the tensorized value
         try:
-            _, Q1 = xi_q(S, q, alpha, cfg, return_witness=True)
+            _, Q1 = xi_q(S, q, alpha, return_witness=True)
             extra.append(reduce(np.kron, [Q1] * n))
         except SobolevError:
             pass
 
-    val, Q = _optimize_density(S, n, q, pin, constraint, alpha, cfg,
+    val, Q = _optimize_density(S, n, q, pin, constraint, alpha,
                                extra_seeds=extra)
     val = val / n
     return (val, Q) if return_witness else val

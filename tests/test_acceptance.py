@@ -190,9 +190,10 @@ def test_criterion_05_qradius_symmetry_and_monotonicity():
 
 
 # small-support battery: (base size, power, supports); every instance keeps
-# base^power <= 16. Mid-range supports at 16 states sit on faces the dense
-# solver cannot sweep in the budget, so those two shapes stop at m = 2
-# before jumping to the trivial full support.
+# base^power <= 16. At 16 states the support enumeration refuses m >= 5
+# (6884 subsets at m = 5, beyond its cap of 4096), and m = 3 and m = 4 cost
+# about 2.5 s and 8-13 s each, so those two shapes stop at m = 2 before
+# jumping to the trivial full support.
 IDENTITY_INSTANCES = (
     (2, 1, (2,)),
     (2, 2, (2, 3, 4)),

@@ -27,7 +27,6 @@ from rslab.graph_spectral import (
 from rslab.semigroup import as_function, dirichlet_form_raw
 from rslab.sobolev import (
     SampledCurve,
-    SolverConfig,
     conv_envelope,
     hinv,
     sample_binary_curve,
@@ -216,6 +215,12 @@ class TestQRadius:
         with pytest.raises(GraphError):
             q_radius(np.array([[0.0, -1], [-1, 0]]), 2)
 
+    def test_rejects_near_symmetric(self):
+        # the certified bracket's upper side needs A exactly symmetric; a
+        # relative asymmetry of 5e-6 passes np.allclose's default rtol
+        with pytest.raises(GraphError):
+            q_radius([[0, 1, 0], [1 + 5e-6, 0, 1], [0, 1, 0]], 2)
+
     def test_path_closed_values(self):
         assert q_radius(P3, 1) == 2.0
         assert q_radius(P3, INF) == 2.0
@@ -394,11 +399,10 @@ class TestDualRoutes:
         # n(d - (q-1) Xi^(n)_{0,q}(alpha)) at alpha = ln|V| - ln(m)/n
         K2 = complete_graph(2)
         S = graph_generator(K2)
-        cfg = SolverConfig()
         for (n, q, m) in [(2, 2.0, 2), (2, 2.0, 3), (2, 3.0, 2)]:
             alpha = math.log(2) - math.log(m) / n
             exact = faber_krahn_exact(K2, n, q, m).value
-            xi = xi_pq_n(S, 0.0, q, n, alpha, cfg)
+            xi = xi_pq_n(S, 0.0, q, n, alpha)
             assert exact == pytest.approx(n * (1.0 - (q - 1.0) * xi),
                                           abs=1e-8)
 

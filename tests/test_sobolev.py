@@ -20,13 +20,15 @@ from rslab.sobolev import (
     _logvar_grad,
     _logvar_rows,
     _objective_grad,
+    _objective_rows,
     _objective_unmasked,
+    _simplex_grid,
     _softmax_point,
+    _support_masks,
     _y_gradient,
     ExtremalSpec,
     SampledCurve,
     SobolevError,
-    SolverConfig,
     alpha_grid,
     binary_xi_q,
     build_extremal,
@@ -337,6 +339,42 @@ class TestXiPqN:
                 @ np.diag(pin[idx] ** -0.5))
             best = min(best, evals.min())
         assert val == pytest.approx(best / n, abs=1e-8)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_support_faces_beat_dense_face_grid(self, n):
+        # the faces are polished once from their own law, with no grid; the
+        # dense grid on every maximal face is the oracle, at q != 2 on a
+        # weighted chain that is not a graph
+        A = np.array([[0, 0.7, 0.3], [0.7, 0, 0.5], [0.3, 0.5, 0]])
+        S = validate_semigroup(A - np.diag(A.sum(axis=1)))
+        N = 3 ** n
+        pin = pi_product(S, n)
+        # reversing the letters of x maps faces to faces of equal grid
+        # minimum, so one face per pair is scored
+        rev = np.arange(N).reshape((3,) * n).T.ravel()
+        for m in range(2, min(3, N - 1) + 1):
+            alpha = -math.log(m / N) / n
+            faces = {min(f, tuple(sorted(rev[list(f)].tolist())))
+                     for f in _support_masks(N, m / N, pin)}
+            oracle = {q: math.inf for q in (1.25, 1.5, 3.0, 5.0)}
+            for face in faces:
+                grid = _simplex_grid(len(face), 1.0 / 400)
+                D = np.zeros((grid.shape[0], N))
+                D[:, list(face)] = grid
+                D /= pin
+                for q in oracle:
+                    oracle[q] = min(oracle[q],
+                                    _objective_rows(S, n, q, D, pin).min())
+            for q, best in oracle.items():
+                assert xi_pq_n(S, 0, q, n, alpha) * n <= best + 1e-12
+
+    def test_support_enumeration_cap(self):
+        # K2^4 at supports of five states: 6884 subsets pass the mass test,
+        # beyond the 4096 the route enumerates
+        S = validate_semigroup([[-1.0, 1.0], [1.0, -1.0]])
+        with pytest.raises(SobolevError,
+                           match="support enumeration too large"):
+            xi_pq_n(S, 0, 2, 4, -math.log(5 / 16) / 4)
 
     def test_errors(self):
         S = binary_semigroup()
