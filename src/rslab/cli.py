@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .concentration import (GAUSSIAN_FAMILY, QuadratureError, beta_binary,
+from .concentration import (GAUSSIAN_FAMILY, InversionError,
+                            QuadratureError, beta_binary,
                             concentration_bound, gaussian_bound,
                             gaussian_q_star, hypercube_bound, xi_inverse)
 from .graph_spectral import (ConvergenceError, Graph, SubgraphView,
@@ -559,8 +560,8 @@ def main(argv=None) -> int:
     try:
         cfg = config_from_args(args)
         return DISPATCH[cfg.subcommand](cfg)
-    except (QuadratureError, ConvergenceError, FloatingPointError,
-            np.linalg.LinAlgError) as exc:
+    except (QuadratureError, InversionError, ConvergenceError,
+            FloatingPointError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ValueError, OSError) as exc:

@@ -11,8 +11,20 @@ Two families are built in. The Gaussian (Ornstein-Uhlenbeck) family has
 phi_s(t) = s^2 t / 2 exactly, so with beta = 1/n the optimized bound is the
 classic piecewise form exp(-(r + p/2)^2 / 2) for r >= p/2 and exp(-p r)
 below. The hypercube (Bonami-Beckner) family inverts the two-point closed
-form at each order, by one bisection in u = 1/2 - y, with
-beta(s) = (e-1)(e^(s-1)-1)/(2(s-1)), which is bounded by 2 on [0,2].
+form at each order, with beta(s) = (e-1)(e^(s-1)-1)/(2(s-1)), which is
+bounded by 2 on [0,2].
+
+In w = atanh(2u) = (1/2) ln((1-y)/y) the order-q two-point curve reads
+
+    F_q(w) = sinh(w/q) sinh((q-1)w/q) / ((q-1) cosh w),
+
+which is w tanh w at q = 1 (no cancellation there) and rises to its
+supremum F_sat = 1/(2(q-1)) for q > 1, where
+F_sat - F_q(w) = cosh((2-q)w/q) / (2(q-1) cosh w). The inverse solves
+ln F_q = ln t by Newton in ln w, or, once t >= F_sat/2, ln(F_sat - F_q) =
+ln(F_sat - t) by Newton in w, where that gap is nearly linear; both keep a
+bracket and bisect it when a step leaves it. The level is then
+alpha = ln 2 - h((1 - tanh w)/2) (alpha_of_u at u = tanh(w)/2).
 
 As s -> 0 its integrand phi_s(beta(s))/s^2 tends to the order-0 inverse
 (order_zero_inverse) of beta(0), which the quadrature reads at s = 0.
@@ -26,8 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sobolev import (LN2, SampledCurve, alpha_of_u, binary_xi_y,
-                      bisect_half)
+from .sobolev import LN2, SampledCurve, alpha_of_u
 
 INF = float("inf")
 
@@ -37,6 +48,12 @@ QUAD_MAX_DEPTH = 40
 # above this order the binary constraint level exceeds the curve's range
 SATURATION_ORDER = 2.0 - math.log(math.e - 1.0)
 
+# Newton solve of the two-point inverse: cap on curve evaluations, and the
+# step in ln w or w (relative once |w| > 1) below which the next iterate is
+# the root to rounding
+INVERSE_MAXITER = 60
+INVERSE_STEP_TOL = 1e-9
+
 
 class ConcentrationError(ValueError):
     pass
@@ -44,6 +61,10 @@ class ConcentrationError(ValueError):
 
 class QuadratureError(ConcentrationError):
     """Quadrature failed to meet its error budget."""
+
+
+class InversionError(ConcentrationError):
+    """Curve inversion did not converge within its iteration cap."""
 
 
 def beta_binary(s) -> float:
@@ -62,13 +83,82 @@ def order_zero_inverse(t) -> float:
     return math.acosh(1.0 + 2.0 * t) ** 2 / 8.0
 
 
+def _ln_sinh(x):
+    if x > 20.0:
+        return x - LN2 + math.log1p(-math.exp(-2.0 * x))
+    return math.log(math.sinh(x))
+
+
+def _ln_cosh(x):
+    if x > 20.0:
+        return x - LN2 + math.log1p(math.exp(-2.0 * x))
+    return math.log(math.cosh(x))
+
+
+def _x_coth(x):
+    """x coth x, with its limit 1 at x = 0."""
+    return x / math.tanh(x) if x > 0.0 else 1.0
+
+
+def _curve_ln_w(q, v):
+    """ln F_q(w) and its slope d ln F_q / d ln w at w = e^v, order q > 0.
+
+    sinh((q-1)w/q)/(q-1) is written (w/q) sinh(y)/y with y = |q-1| w/q, so
+    the form is exact at q = 1 and loses nothing near it.
+    """
+    w = math.exp(v)
+    x = w / q
+    y = abs(q - 1.0) * x
+    ln_sinhc = _ln_sinh(y) - math.log(y) if y > 0.0 else 0.0
+    val = _ln_sinh(x) + v - math.log(q) + ln_sinhc - _ln_cosh(w)
+    return val, _x_coth(x) + _x_coth(y) - w * math.tanh(w)
+
+
+def _curve_gap_w(q, w):
+    """ln(F_sat - F_q(w)) and its w-derivative, order q > 1.
+
+    With a = |2-q|/q, ln cosh(aw) - ln cosh(w) is written as
+    -(1-a) w + ln(1 + e^(-2aw)) - ln(1 + e^(-2w)), and 1 - a = 2 min(q-1, 1)/q
+    directly, so nothing cancels at large w or near q = 1.
+    """
+    a = abs(2.0 - q) / q
+    val = (-2.0 * min(q - 1.0, 1.0) / q * w
+           + math.log1p(math.exp(-2.0 * a * w))
+           - math.log1p(math.exp(-2.0 * w)) - math.log(2.0 * (q - 1.0)))
+    return val, a * math.tanh(a * w) - math.tanh(w)
+
+
+def _newton(f, x, target, lo, hi, increasing):
+    """Root of f(x) = target for monotone f, from x inside (lo, hi).
+
+    Every evaluation shrinks the bracket; a Newton step that leaves it is
+    replaced by the bracket's midpoint. A step heads toward the root, so it
+    never crosses an infinite end, and the midpoint is always finite.
+    """
+    for _ in range(INVERSE_MAXITER):
+        val, slope = f(x)
+        if val == target:
+            return x
+        if (val < target) == increasing:
+            lo = x
+        else:
+            hi = x
+        step = (target - val) / slope
+        if abs(step) <= INVERSE_STEP_TOL * max(1.0, abs(x)):
+            return x + step
+        x = x + step if lo < x + step < hi else 0.5 * (lo + hi)
+    raise InversionError(f"curve inversion did not converge in "
+                         f"{INVERSE_MAXITER} steps")
+
+
 def xi_inverse(q, t, curve: SampledCurve = None) -> float:
     """Entropy level alpha at which the order-q curve reaches t.
 
-    Closed-form two-point curve by default (one bisection in u = 1/2 - y,
-    exact at order 0); a sampled convex-envelope curve inverts by linear
-    interpolation. Levels above the curve's range return the right endpoint,
-    where the inversion saturates.
+    Closed-form two-point curve by default (a bracketed Newton solve in
+    w = atanh(2u), exact at order 0); a sampled convex-envelope curve
+    inverts by linear interpolation. Levels above the curve's range return
+    the right endpoint, where the inversion saturates. InversionError if
+    the solve does not converge.
     """
     t = float(t)
     if t < 0:
@@ -88,9 +178,24 @@ def xi_inverse(q, t, curve: SampledCurve = None) -> float:
         raise ConcentrationError("order q must be nonnegative")
     if q == 0:
         return min(LN2, order_zero_inverse(t))
-    if t >= binary_xi_y(q, 0.0):
-        return LN2
-    return alpha_of_u(bisect_half(lambda u: binary_xi_y(q, 0.5 - u), t))
+    if q > 1.0:
+        f_sat = 0.5 / (q - 1.0)
+        if t >= f_sat:
+            return LN2
+        if t >= 0.5 * f_sat:
+            # start where the gap's large-w line ln(F_sat) - (1 - a) w
+            # meets the target
+            target = math.log(f_sat - t)
+            w0 = (math.log(f_sat) - target) * q / (2.0 * min(q - 1.0, 1.0))
+            w = _newton(lambda w: _curve_gap_w(q, w), w0, target,
+                        0.0, INF, increasing=False)
+            return alpha_of_u(0.5 * math.tanh(w))
+    # start from the order-0 limit F = sinh^2(w/q), also F ~ (w/q)^2 at
+    # small w for every order
+    v0 = math.log(q * math.asinh(math.sqrt(t)))
+    v = _newton(lambda v: _curve_ln_w(q, v), v0, math.log(t),
+                -INF, INF, increasing=True)
+    return alpha_of_u(0.5 * math.tanh(math.exp(v)))
 
 
 @dataclass(frozen=True)

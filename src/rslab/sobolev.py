@@ -35,8 +35,10 @@ terms of y = h^{-1}(ln 2 - alpha) on [0, 1/2] (binary_xi_y for q > 0):
     q = 1:           (1/2 - y) ln((1-y)/y)
     q = 0:           (e^{2 sqrt(2 alpha)} + e^{-2 sqrt(2 alpha)})/4 - 1/2
 
-Both the curve and alpha = ln 2 - h(1/2 - u) increase in u = 1/2 - y, so the
-curve's inverse needs one bisection in u (bisect_half) and no h^{-1}.
+In w = atanh(1 - 2y) = (1/2) ln((1-y)/y) the q > 0 form reads
+sinh(w/q) sinh((q-1)w/q) / ((q-1) cosh w), which has no cancellation near
+q = 1; `concentration.xi_inverse` inverts the curve in w by Newton's method.
+binary_xi_y keeps the y form above, whose last bits the curve tables pin.
 
 The module also builds the finite-n extremal functions whose entropy and
 Dirichlet rates exhibit the p <= q / p > q transition: products of typical-set
@@ -82,24 +84,23 @@ def hfun(y):
     return -y * math.log(y) - (1.0 - y) * math.log1p(-y)
 
 
-def bisect_half(f, level):
-    """Point of [0, 1/2] where the increasing function f reaches level."""
-    lo, hi = 0.0, 0.5
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if f(mid) < level:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def hinv(v):
     """Inverse of the binary entropy restricted to [0, 1/2], by bisection."""
     if not (-1e-15 <= v <= LN2 + 1e-15):
         raise SobolevError(f"h^-1 argument {v} outside [0, ln 2]")
     v = min(max(v, 0.0), LN2)
-    return bisect_half(hfun, v)
+    lo, hi = 0.0, 0.5
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            # no float lies strictly inside: further halvings would leave
+            # the returned midpoint as it is
+            return mid
+        if hfun(mid) < v:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def alpha_of_u(u):

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rslab import cli, graph_spectral
+from rslab import cli, concentration, graph_spectral
 from rslab.concentration import QuadratureError
 from rslab.semigroup import binary_semigroup
 from rslab.sobolev import binary_xi_q, xi_pq_n, xi_q
@@ -309,6 +309,13 @@ class TestExitCodes:
         monkeypatch.setattr(graph_spectral, "RADIUS_MAXITER", 1)
         rc, _, err = run_cli(["qradius", "--graph", "cycle", "5", "--q", "2",
                               "--subset", "0", "1", "2"])
+        assert rc == 2
+        assert "numerical failure" in err
+
+    def test_inversion_cap_maps_to_two(self, monkeypatch):
+        monkeypatch.setattr(concentration, "INVERSE_MAXITER", 1)
+        rc, _, err = run_cli(["concentration", "--family", "binary",
+                              "--n", "4", "--p", "0", "--r", "1"])
         assert rc == 2
         assert "numerical failure" in err
 

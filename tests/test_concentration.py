@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from rslab import concentration
 from rslab.concentration import (
     BINARY_FAMILY,
     GAUSSIAN_FAMILY,
     SATURATION_ORDER,
     BoundReport,
     ConcentrationError,
+    InversionError,
     adaptive_simpson,
     beta_binary,
     concentration_bound,
@@ -33,6 +35,26 @@ def xi_inverse_oracle(s, t):
     g = lambda y: binary_xi_q(s, LN2 - hfun(y)) - t
     y = brentq(g, 1e-18, 0.5, xtol=1e-15)
     return LN2 - hfun(y)
+
+
+def mp_xi_inverse(mp, s, t):
+    """Invert the y-form of the two-point curve at the working precision,
+    by Ridder's bracketed method in ln u with u = 1/2 - y."""
+    s, t = mp.mpf(s), mp.mpf(t)
+
+    def excess(z):
+        u = mp.exp(z)
+        y = mp.mpf(1) / 2 - u
+        if s == 1:
+            return u * mp.log((1 - y) / y) - t
+        c = (s - 1) / s
+        return (1 - y ** (1 / s) * (1 - y) ** c
+                - y ** c * (1 - y) ** (1 / s)) / (2 * (s - 1)) - t
+
+    u = mp.exp(mp.findroot(excess, (mp.log(mp.mpf(10) ** -30),
+                                    mp.log(mp.mpf(1) / 2)), solver="ridder"))
+    # ln 2 - h(1/2 - u), without its cancellation against ln 2
+    return 2 * u * mp.atanh(2 * u) + mp.log1p(-4 * u * u) / 2
 
 
 _NODE_CACHE = {}
@@ -137,6 +159,74 @@ class TestXiInverse:
             xi_inverse(2.0, -0.1)
         with pytest.raises(ConcentrationError):
             xi_inverse(-1.0, 0.1)
+
+    def test_matches_high_precision_oracle(self):
+        mp = pytest.importorskip("mpmath")
+        orders = np.concatenate((np.geomspace(1e-9, 1e-2, 15),
+                                 np.linspace(0.01, 2.0, 40),
+                                 [1 - 5e-7, 1 + 5e-7, 1 - 1e-8, 1 + 1e-8]))
+        checked = 0
+        with mp.workdps(40):
+            for s in orders:
+                s = float(s)
+                for t in (beta_binary(s), 0.3 * beta_binary(s),
+                          1e-3 * beta_binary(s)):
+                    if s > 1.0 and t >= 0.5 / (s - 1.0):
+                        continue
+                    ref = mp_xi_inverse(mp, s, t)
+                    assert abs(xi_inverse(s, t) - ref) <= 1e-13 * ref, (s, t)
+                    checked += 1
+        assert checked > 150
+
+    def test_continuous_across_order_one(self):
+        for t in (0.01, 0.3, beta_binary(1.0)):
+            at_one = xi_inverse(1.0, t)
+            for d in (1e-9, 1e-7, 1e-5):
+                for q in (1.0 - d, 1.0 + d):
+                    assert abs(xi_inverse(q, t) - at_one) <= d
+
+    def test_round_trip_below_saturation(self):
+        # at 0.99 F_sat the level sits within 3e-4 of ln 2, where one ulp of
+        # alpha moves the curve by up to about 2e-10 relative (q = 1.25, 5)
+        for q in (1.25, 1.5, 2.0, 3.0, 5.0):
+            f_sat = 0.5 / (q - 1.0)
+            t = f_sat * (1.0 - 1e-2)
+            alpha = xi_inverse(q, t)
+            assert alpha < LN2
+            assert binary_xi_q(q, alpha) == pytest.approx(t, rel=1e-9)
+            # the solve switches to the gap F_sat - F at t = F_sat / 2
+            half = 0.5 * f_sat
+            assert abs(xi_inverse(q, half * (1.0 - 1e-12)) -
+                       xi_inverse(q, half)) <= 1e-12
+
+    def test_iteration_cap_fails_loudly(self, monkeypatch):
+        monkeypatch.setattr(concentration, "INVERSE_MAXITER", 1)
+        with pytest.raises(InversionError):
+            xi_inverse(1.0, 0.5)
+        with pytest.raises(InversionError):
+            xi_inverse(1.3, beta_binary(1.3))
+
+    def test_curve_evaluations_per_tail_row_inversion(self, monkeypatch):
+        # deterministic cost guard: a slower solve shows as more curve
+        # evaluations per inversion at the quadrature's own nodes
+        evals, per_call = [0], []
+        for name in ("_curve_ln_w", "_curve_gap_w"):
+            def counted(q, x, f=getattr(concentration, name)):
+                evals[0] += 1
+                return f(q, x)
+            monkeypatch.setattr(concentration, name, counted)
+        inverse = concentration.xi_inverse
+
+        def recorded(q, t, curve=None):
+            evals[0] = 0
+            alpha = inverse(q, t, curve)
+            if evals[0]:
+                per_call.append(evals[0])
+            return alpha
+        monkeypatch.setattr(concentration, "xi_inverse", recorded)
+        hypercube_bound(10, 0.0, 2.0)
+        assert len(per_call) > 100
+        assert np.mean(per_call) <= 8.0
 
 
 class TestQuadrature:
@@ -280,6 +370,23 @@ class TestHypercubeBound:
         rep = hypercube_bound(n, 0.0, r)
         assert rep.bound == pytest.approx(math.exp(emin), rel=1e-6)
         assert rep.q_star == pytest.approx(qs[k] + shift, abs=1e-3)
+
+    # reference rows, computed with a 100-step bisection inverse in
+    # u = 1/2 - y
+    @pytest.mark.parametrize("n, p, r, log_bound, q_star", [
+        (5, 0.0, 1.0, -0.19514550497647343, 0.37366793749786986),
+        (5, 0.5, 1.0, -0.5099444395697451, 0.5763183697739065),
+        (10, 0.0, 1.0, -0.10205045796844432, 0.19927508056488868),
+        (10, 0.5, 1.0, -0.5, 0.5),
+        (20, 0.0, 1.0, -0.052280888457472426, 0.10325472142845792),
+        (20, 0.5, 1.0, -0.5, 0.5),
+        (20, 0.0, 6.0, -1.686515150980467, 0.5296159755408709),
+        (10, 0.0, 0.0, 0.0, 0.0),
+    ])
+    def test_pinned_rows(self, n, p, r, log_bound, q_star):
+        rep = hypercube_bound(n, p, r)
+        assert rep.log_bound == pytest.approx(log_bound, abs=1e-12)
+        assert rep.q_star == pytest.approx(q_star, abs=1e-7)
 
     def test_zero_deviation(self):
         rep = hypercube_bound(10, 0.0, 0.0)
