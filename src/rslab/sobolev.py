@@ -16,17 +16,18 @@ and the n-letter two-parameter version
                            (1/n) D_{p/q}(Q || pi^n) >= alpha }.
 
 Reported values are best-found upper bounds on the infimum. Under a
-constraint, the feasible minimum of a dense simplex grid (two to four states)
-and starts obtained by bisecting rays from pi toward the simplex corners to
-the constraint boundary (convexity of the divergence in Q makes each ray
-cross it exactly once) are polished by SLSQP with the divergence constraint
-as an inequality; xi_q at q > 0 is xi_pq_n at p = q, n = 1. The p = 0
-support faces, where the objective is convex, get one polish without a
-constraint from pi restricted to the face. The optimizer evaluates the
-Dirichlet form through `semigroup.dirichlet_rows` and the divergence through
-`entropy.renyi_rows`, a batch of rows per call. SLSQP gets exact gradients:
-the objective's from one `semigroup.generator_rows` call (`_objective_grad`),
-the divergence's in closed form (`entropy.renyi_grad`).
+constraint, the starts are the points where the rays from pi toward the
+barycenters of the simplex's proper faces (every face on up to four states,
+the corners beyond) cross the constraint boundary, found by bisection
+(convexity of the divergence in Q makes each ray cross it exactly once).
+Each is polished by SLSQP with the divergence constraint as an inequality;
+xi_q at q > 0 is xi_pq_n at p = q, n = 1. The p = 0 support faces, where the
+objective is convex, get one polish without a constraint from pi restricted
+to the face. The optimizer evaluates the Dirichlet form at one point through
+`semigroup.dirichlet_rows` (`_objective`) and the divergence through
+`entropy.renyi_rows`. SLSQP gets exact gradients: the objective's from one
+`semigroup.generator_rows` call (`_objective_grad`), the divergence's in
+closed form (`entropy.renyi_grad`).
 
 The two-point chain admits a closed form (binary_xi_q) used as an oracle, in
 terms of y = h^{-1}(ln 2 - alpha) on [0, 1/2] (binary_xi_y for q > 0):
@@ -47,7 +48,7 @@ conditioned densities and mixtures with a point mass at a least-likely string.
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from itertools import combinations
 
 import numpy as np
 from scipy.optimize import minimize
@@ -158,8 +159,6 @@ class SampledCurve:
     values: np.ndarray
     kind: str
     q: float
-    p: float = None
-    n: int = None
     nstates: int = None      # alphabet size behind the grid, when known
 
     def __post_init__(self):
@@ -171,7 +170,7 @@ class SampledCurve:
             raise SobolevError("grid/values must be equal-length vectors")
         if np.any(np.diff(g) <= 0):
             raise SobolevError("grid must be strictly increasing")
-        if self.kind not in ("xi_q", "conv_xi_q", "xi_pq_n", "inverse"):
+        if self.kind not in ("xi_q", "conv_xi_q"):
             raise SobolevError(f"unknown curve kind {self.kind!r}")
         if self.kind == "conv_xi_q" and g.size >= 3:
             d2 = np.diff(v, 2)
@@ -181,7 +180,7 @@ class SampledCurve:
 
 def alpha_grid(pi, size=64):
     """Default grid: [0, -ln min pi - 1e-6), right endpoint excluded."""
-    pi = np.asarray(getattr(pi, "stationary", pi), dtype=float)
+    pi = np.asarray(pi, dtype=float)
     hi = -math.log(float(pi.min())) - 1e-6
     return np.linspace(0.0, hi, size, endpoint=False)
 
@@ -218,8 +217,7 @@ def conv_envelope(curve: SampledCurve) -> SampledCurve:
     hx = np.array([p[0] for p in hull])
     hy = np.array([p[1] for p in hull])
     out = np.minimum(np.interp(g, hx, hy), v)
-    return SampledCurve(g, out, "conv_xi_q", curve.q, curve.p, curve.n,
-                        curve.nstates)
+    return SampledCurve(g, out, "conv_xi_q", curve.q, nstates=curve.nstates)
 
 
 def phi_pq(p, q, conv_curve: SampledCurve, alpha):
@@ -253,45 +251,27 @@ def lsi_constant(curve: SampledCurve, q) -> float:
 # simplex optimizer
 
 
-GRID_STEP = 1.0 / 400      # dense grid for 2- and 3-state simplices
-GRID_STEP4 = 1.0 / 60      # coarser grid for 4-state simplices
 MULTISTART = 16            # seeds polished per call
 
 
-def _simplex_grid(m, step):
-    N = int(round(1.0 / step))
-    if m == 2:
-        i = np.arange(N + 1)
-        return np.column_stack([i, N - i]) / N
-    if m == 3:
-        i, j = np.meshgrid(np.arange(N + 1), np.arange(N + 1), indexing="ij")
-        keep = i + j <= N
-        i, j = i[keep], j[keep]
-        return np.column_stack([i, j, N - i - j]) / N
-    if m == 4:
-        rows = []
-        for i in range(N + 1):
-            j, k = np.meshgrid(np.arange(N - i + 1), np.arange(N - i + 1),
-                               indexing="ij")
-            keep = j + k <= N - i
-            j, k = j[keep], k[keep]
-            rows.append(np.column_stack(
-                [np.full(j.size, i), j, k, N - i - j - k]))
-        return np.vstack(rows) / N
-    raise SobolevError("dense grid supports alphabets of size 2..4 only")
-
-
-def _objective_unmasked(S, n, q, D, pin):
-    """Objective per density row; rows with zeros give inf or nan for
-    q <= 1, so callers screen them."""
-    with np.errstate(divide="ignore", invalid="ignore"):
+def _objective(S: Semigroup, n, q, D, pin):
+    """Dirichlet objective of the density characterization at one density
+    D = Q/pi^n; inf for q <= 1 where D has a zero."""
+    if q <= 1 and not np.all(D > 0):
+        return INF
+    D = D[None, :]
+    # the polish reaches densities near 1e-300, where negative powers of D
+    # overflow to the infinite value the objective has there
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if q == 1:
-            return dirichlet_rows(S, D, np.log(D), n, pin)
-        if q == 0:
-            return -dirichlet_rows(S, D, 1.0 / D, n, pin)
-        qp = q / (q - 1.0)
-        vals = dirichlet_rows(S, D ** (1.0 / q), D ** (1.0 / qp), n, pin)
-        return vals / (q - 1.0)
+            val = dirichlet_rows(S, D, np.log(D), n, pin)
+        elif q == 0:
+            val = -dirichlet_rows(S, D, 1.0 / D, n, pin)
+        else:
+            qp = q / (q - 1.0)
+            val = dirichlet_rows(S, D ** (1.0 / q), D ** (1.0 / qp), n, pin)
+            val = val / (q - 1.0)
+    return float(val[0])
 
 
 def _objective_grad(S, n, q, Q, pin):
@@ -321,27 +301,6 @@ def _objective_grad(S, n, q, Q, pin):
     if q == 0:
         return pin * (D * LB - LA / D)
     return -(pin / (q - 1.0)) * (A * LB / q + B * LA / qp)
-
-
-def _objective_rows(S: Semigroup, n, q, Ds, pin):
-    """Dirichlet objective of the density characterization, per row of Ds."""
-    Ds = np.atleast_2d(Ds)
-    R = Ds.shape[0]
-    out = np.full(R, INF)
-    if q <= 1:
-        ok = np.all(Ds > 0, axis=1)
-    else:
-        ok = np.ones(R, dtype=bool)
-    if np.any(ok):
-        out[ok] = _objective_unmasked(S, n, q, Ds[ok], pin)
-    return out
-
-
-def _objective_one(S: Semigroup, n, q, D, pin):
-    """Single-row objective for the polish loops (no batch masking)."""
-    if q <= 1 and not np.all(D > 0):
-        return INF
-    return float(_objective_unmasked(S, n, q, D[None, :], pin)[0])
 
 
 def _logvar_rows(Qs, pin, logpin):
@@ -379,15 +338,27 @@ def _level_crossing(out, inside, constraint_rows, level):
     return (1 - hi) * out + hi * inside
 
 
-def _ray_seeds(pi_flat, constraint_rows, level):
-    """Boundary points of the rays from pi toward each simplex corner.
+def _ray_seeds(origin, constraint_rows, level):
+    """Boundary points of the rays from origin toward the barycenter of every
+    proper face of the simplex, corners first, when those 2^k - 2 faces fit
+    in MULTISTART (k <= 4 states); toward each corner otherwise.
 
-    The divergence constraints are convex in Q with value 0 at pi, so each ray
-    crosses the level set at most once; all rays are bisected together.
+    Optima can sit inside a face rather than at a corner (K4 at q = 0 splits
+    its mass 2-2), and the ray to that face's barycenter starts the polish
+    there. The divergence constraints are convex in Q with value 0 at pi, so
+    each ray crosses the level set at most once; all rays are bisected
+    together.
     """
-    corners = np.eye(pi_flat.size)
-    corners = corners[constraint_rows(corners) >= level]
-    return list(_level_crossing(pi_flat, corners, constraint_rows, level))
+    k = origin.size
+    if 2 ** k - 2 <= MULTISTART:
+        faces = [f for r in range(1, k) for f in combinations(range(k), r)]
+        targets = np.zeros((len(faces), k))
+        for i, f in enumerate(faces):
+            targets[i, list(f)] = 1.0 / len(f)
+    else:
+        targets = np.eye(k)
+    targets = targets[constraint_rows(targets) >= level]
+    return list(_level_crossing(origin, targets, constraint_rows, level))
 
 
 def _softmax_point(y):
@@ -405,8 +376,7 @@ def _y_gradient(h, P, face):
     return (h - P * h.sum())[:-1]
 
 
-def _optimize_density(S, n, q, pin, constraint, level, extra_seeds=(),
-                      face=None):
+def _optimize_density(S, n, q, pin, constraint, level, face=None):
     """Shared pipeline: seeds, then an SLSQP polish of each.
 
     Minimizes over distributions Q on X^n; pin is pi_product(S, n). Either
@@ -414,30 +384,30 @@ def _optimize_density(S, n, q, pin, constraint, level, extra_seeds=(),
     and grad(Q) giving h = Q * (its gradient in Q) at one Q, and Q ranges
     over the whole simplex with rows(Q) >= level; or constraint is None and
     Q ranges over the distributions supported on `face` (an index array), at
-    q > 1. extra_seeds are further starts.
+    q > 1.
 
-    Under a constraint the global layer is the feasible minimum of a dense
-    grid (two to four states) and the rays from pi toward the corners,
-    bisected to the level. On a face the objective is convex (see xi_pq_n),
-    so the one seed is pi restricted to the face and normalized. Each seed is
-    polished by SLSQP with exact gradients, with the divergence constraint
-    as an inequality, over log-mass ratios y in [-700, 700]^{k-1} with
-    Q = softmax(y, 0) on the k states searched, so the simplex needs no
-    constraint. A polished point that misses the level is bisected back onto
-    it. Seeds and polished points alike are scored by the barrier objective
-    (inf unless the constraint holds to 1e-13), so no infeasible point is
-    reported and no result is worse than its seed. A one-state face is
-    scored directly.
+    Under a constraint the seeds are the points where the rays from pi
+    toward the face barycenters (up to four states) or the corners cross the
+    level (`_ray_seeds`); they are the only global layer. On a face the
+    objective is convex (see xi_pq_n), so the one seed is pi restricted to
+    the face and normalized. Each seed is polished by SLSQP with exact
+    gradients, with the divergence constraint as an inequality, over
+    log-mass ratios y in [-700, 700]^{k-1} with Q = softmax(y, 0) on the k
+    states searched, so the simplex needs no constraint. A polished point
+    that misses the level is bisected back onto it. Seeds and polished points
+    alike are scored by the barrier objective (inf unless the constraint
+    holds to 1e-13), so no infeasible point is reported and no result is
+    worse than its seed. A one-state face is scored directly.
     """
     N = S.nstates ** n
     constraint_rows, constraint_grad = constraint or (None, None)
 
     def embed(P):
-        """Points of the face as points of X^n (rows when P is 2-D)."""
+        """A point of the face as a point of X^n."""
         if face is None:
             return P
-        Q = np.zeros(P.shape[:-1] + (N,))
-        Q[..., face] = P
+        Q = np.zeros(N)
+        Q[face] = P
         return Q
 
     if face is None:
@@ -445,40 +415,26 @@ def _optimize_density(S, n, q, pin, constraint, level, extra_seeds=(),
     else:
         k, origin = len(face), pin[face] / pin[face].sum()
 
-    def full_objective(Ps):
-        Qs = np.atleast_2d(embed(Ps))
-        vals = np.full(Qs.shape[0], INF)
-        if constraint_rows is None:
-            feas = np.ones(Qs.shape[0], dtype=bool)
-        else:
-            feas = constraint_rows(Qs) >= level - 1e-13
-        if np.any(feas):
-            vals[feas] = _objective_rows(S, n, q, Qs[feas] / pin, pin)
-        return vals
+    def full_objective(P):
+        Q = embed(P)
+        if (constraint_rows is not None
+                and not constraint_rows(Q[None, :])[0] >= level - 1e-13):
+            return INF
+        return _objective(S, n, q, Q / pin, pin)
 
     if k == 1:
-        return full_objective(np.ones(1))[0], embed(np.ones(1))
+        return full_objective(np.ones(1)), embed(np.ones(1))
 
-    candidates = []
-    seeds = [np.asarray(s, dtype=float) for s in extra_seeds]
     if constraint_rows is None:
-        seeds.append(origin)
+        seeds = [origin]
     else:
-        if k <= 4:
-            grid = _simplex_grid(k, GRID_STEP if k <= 3 else GRID_STEP4)
-            vals = full_objective(grid)
-            i = int(np.argmin(vals))     # ties resolve to the smallest index
-            if np.isfinite(vals[i]):
-                candidates.append((vals[i], grid[i]))
-                seeds.append(grid[i])
-        seeds.extend(_ray_seeds(origin, constraint_rows, level))
-    seeds = seeds[:MULTISTART]
+        seeds = _ray_seeds(origin, constraint_rows, level)[:MULTISTART]
 
     # polish over log-mass ratios y_i = ln(Q_i / Q_k): optima often sit on
     # a face (q > 1) or within 1e-10 of one (q <= 1), where the powers of Q
     # in objective and constraint have infinite slope in Q but not in y
     def polish_objective(y):
-        return _objective_one(S, n, q, embed(_softmax_point(y)) / pin, pin)
+        return _objective(S, n, q, embed(_softmax_point(y)) / pin, pin)
 
     def polish_constraint(y):
         return constraint_rows(_softmax_point(y)[None, :])[0] - level
@@ -494,6 +450,7 @@ def _optimize_density(S, n, q, pin, constraint, level, extra_seeds=(),
                    [{"type": "ineq", "fun": polish_constraint,
                      "jac": y_jac(constraint_grad)}])
     objective_jac = y_jac(lambda Q: _objective_grad(S, n, q, Q, pin))
+    candidates = []
     for s in seeds:
         ls = np.log(np.maximum(s, 1e-300))
         res = minimize(polish_objective, ls[:-1] - ls[-1], method="SLSQP",
@@ -501,15 +458,15 @@ def _optimize_density(S, n, q, pin, constraint, level, extra_seeds=(),
                        constraints=constraints,
                        options={"ftol": 1e-15, "maxiter": 200})
         P = _softmax_point(res.x)
-        v = full_objective(P)[0]
+        v = full_objective(P)
         if not np.isfinite(v):
             # SLSQP can stop just outside the level set (1e-11 seen); the
             # divergence grows from Q toward the corner of the largest Q/pi
             corner = np.eye(k)[np.argmax(P / pin)]
             if constraint_rows(corner[None, :])[0] >= level:
                 P = _level_crossing(P, corner, constraint_rows, level)[0]
-                v = full_objective(P)[0]
-        for c in ((full_objective(s)[0], s), (v, P)):
+                v = full_objective(P)
+        for c in ((full_objective(s), s), (v, P)):
             if np.isfinite(c[0]):
                 candidates.append(c)
 
@@ -529,7 +486,9 @@ def xi_q(S: Semigroup, q, alpha, return_witness=False):
     if q < 0 or np.isinf(q):
         raise SobolevError("order q must be finite and nonnegative")
     if S.nstates > 4:
-        raise SobolevError("dense simplex solver supports |X| <= 4")
+        raise SobolevError("single-letter solver supports |X| <= 4: beyond "
+                           "that its rays reach only the corners, not every "
+                           "face")
     hi = -math.log(float(S.stationary.min()))
     if not (0 <= alpha < hi):
         raise SobolevError(f"alpha {alpha} outside [0, {hi})")
@@ -589,8 +548,7 @@ def xi_pq_n(S: Semigroup, p, q, n, alpha, return_witness=False):
         raise SobolevError("n-letter route undefined at q = 0; use xi_q")
     if p < 0:
         raise SobolevError("order p must be nonnegative")
-    m = S.nstates
-    N = m ** n
+    N = S.nstates ** n
     if N > ENUMERATION_BUDGET:
         raise SobolevError("|X|^n exceeds enumeration budget")
     hi = -math.log(float(S.stationary.min()))
@@ -619,17 +577,7 @@ def xi_pq_n(S: Semigroup, p, q, n, alpha, return_witness=False):
     constraint = (lambda Qs: renyi_rows(Qs, pin, logpin, gamma) / n,
                   lambda Q: renyi_grad(Q, pin, logpin, gamma) / n)
 
-    extra = []
-    if n >= 2 and m <= 4:
-        # product of single-letter optimizers: matches the tensorized value
-        try:
-            _, Q1 = xi_q(S, q, alpha, return_witness=True)
-            extra.append(reduce(np.kron, [Q1] * n))
-        except SobolevError:
-            pass
-
-    val, Q = _optimize_density(S, n, q, pin, constraint, alpha,
-                               extra_seeds=extra)
+    val, Q = _optimize_density(S, n, q, pin, constraint, alpha)
     val = val / n
     return (val, Q) if return_witness else val
 
@@ -776,7 +724,6 @@ def extremal_report(spec: ExtremalSpec, S: Semigroup, p, q) -> ExtremalReport:
     Qn = f.values * pin
     Qn = Qn / Qn.sum()
     ent_rate = renyi_divergence(Qn, pin, p / q) / n
-    D = (Qn / pin)[None, :]
-    dirichlet_rate = _objective_rows(S, n, q, D, pin)[0] / n
+    dirichlet_rate = _objective(S, n, q, Qn / pin, pin) / n
     return ExtremalReport(float(ent_rate) + 0.0, float(dirichlet_rate) + 0.0,
                           n, p, q)

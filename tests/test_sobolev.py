@@ -12,6 +12,7 @@ from rslab.semigroup import (
     Semigroup,
     binary_semigroup,
     dirichlet_form_raw,
+    dirichlet_rows,
     pi_product,
     sequence_digits,
     validate_semigroup,
@@ -19,10 +20,8 @@ from rslab.semigroup import (
 from rslab.sobolev import (
     _logvar_grad,
     _logvar_rows,
+    _objective,
     _objective_grad,
-    _objective_rows,
-    _objective_unmasked,
-    _simplex_grid,
     _softmax_point,
     _support_masks,
     _y_gradient,
@@ -44,7 +43,7 @@ from rslab.sobolev import (
     xi_pq_n,
     xi_q,
 )
-from util import KERNEL_SETTINGS
+from util import KERNEL_SETTINGS, simplex_grid
 
 LN2 = math.log(2.0)
 
@@ -57,6 +56,78 @@ def three_state_chain():
 
 # symmetric rates of unequal weight
 WEIGHTED3 = [[-0.7, 0.2, 0.5], [0.2, -1.1, 0.9], [0.5, 0.9, -1.4]]
+
+
+def laplacian_chain(A):
+    A = np.asarray(A, dtype=float)
+    return validate_semigroup(A - np.diag(A.sum(axis=1)))
+
+
+# 4-state chains: complete graph, cycle, and unequal symmetric rates
+FOUR_STATE = {
+    "K4": np.ones((4, 4)) - np.eye(4),
+    "C4": [[0, 1, 0, 1], [1, 0, 1, 0], [0, 1, 0, 1], [1, 0, 1, 0]],
+    "weighted4": [[0, 0.3, 1.2, 0.1], [0.3, 0, 0.6, 0.9],
+                  [1.2, 0.6, 0, 0.4], [0.1, 0.9, 0.4, 0]],
+}
+
+
+def pairwise_objective(S, q, Qs):
+    """The objective per row of Qs from the pairwise Dirichlet form
+    (1/2) sum_xy pi_x L_xy (f_y - f_x)(g_y - g_x); inf for q <= 1 where a
+    row has a zero."""
+    pi = S.stationary
+    D = Qs / pi
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if q == 1:
+            f, g, c = D, np.log(D), 1.0
+        elif q == 0:
+            f, g, c = D, 1.0 / D, -1.0
+        else:
+            f, g, c = D ** (1.0 / q), D ** (1.0 - 1.0 / q), 1.0 / (q - 1.0)
+        df = f[..., None, :] - f[..., :, None]
+        dg = g[..., None, :] - g[..., :, None]
+        vals = c * 0.5 * np.einsum("...xy,xy,x->...", df * dg, S.generator, pi)
+    if q <= 1:
+        vals = np.where(np.all(Qs > 0, axis=-1), vals, math.inf)
+    return vals
+
+
+def level_of(S, q, Qs):
+    """KL(Q || pi) for q > 0, Var_pi(ln Q/pi)/2 for q = 0, per row of Qs."""
+    pi = S.stationary
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if q > 0:
+            return np.where(Qs > 0, Qs * np.log(Qs / pi), 0.0).sum(axis=-1)
+        logd = np.log(Qs / pi)
+        mean = (logd * pi).sum(axis=-1, keepdims=True)
+        return 0.5 * (((logd - mean) ** 2) * pi).sum(axis=-1)
+
+
+def snapped_grid_oracle(S, q, alpha, step=1.0 / 60, snapped=50):
+    """Feasible minimum of the objective on a simplex grid, after the lowest
+    finite grid values are each snapped radially (toward pi) onto the level,
+    which makes the grid's discretization error second order."""
+    pi = S.stationary
+    Qs = simplex_grid(pi.size, step)
+    vals = np.where(level_of(S, q, Qs) >= alpha,
+                    pairwise_objective(S, q, Qs), math.inf)
+    # only grid points with a finite value are feasible and may be snapped
+    finite = np.flatnonzero(np.isfinite(vals))
+    assert finite.size
+    best = math.inf
+    for k in finite[np.argsort(vals[finite])[:snapped]]:
+        lo, hi = 0.0, 1.0
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            if level_of(S, q, (1 - mid) * pi + mid * Qs[k]) >= alpha:
+                hi = mid
+            else:
+                lo = mid
+        R = (1 - hi) * pi + hi * Qs[k]
+        assert level_of(S, q, R) >= alpha
+        best = min(best, vals[k], pairwise_objective(S, q, R))
+    return best
 
 
 class TestBinaryClosedForm:
@@ -115,44 +186,21 @@ class TestXiQ:
                     binary_xi_q(q, a), abs=1e-6)
 
     def test_three_state_brute_scan(self):
-        # exhaustive 1e-3 simplex scan, then the leading candidates are
-        # snapped radially onto the constraint boundary so that the oracle's
-        # discretization error is second order
+        # exhaustive 1e-3 simplex scan, the leading candidates snapped
+        # radially onto the constraint boundary
         S = three_state_chain()
-        alpha, q = 0.2, 2.0
-        pi = S.stationary
+        best = snapped_grid_oracle(S, 2.0, 0.2, step=1e-3, snapped=100)
+        assert xi_q(S, 2.0, 0.2) == pytest.approx(best, abs=1e-4)
 
-        def kl_of(Qs):
-            with np.errstate(divide="ignore", invalid="ignore"):
-                t = np.where(Qs > 0, Qs * np.log(Qs / pi), 0.0)
-            return t.sum(axis=-1)
-
-        def obj_of(Qs):
-            u = np.sqrt(Qs / pi)
-            du = u[..., None, :] - u[..., :, None]
-            return 0.5 * np.einsum("...xy,xy,x->...", du * du,
-                                   S.generator, pi)
-
-        N = 1000
-        i, j = np.meshgrid(np.arange(N + 1), np.arange(N + 1), indexing="ij")
-        keep = i + j <= N
-        i, j = i[keep], j[keep]
-        Qs = np.column_stack([i, j, N - i - j]) / N
-        feas = kl_of(Qs) >= alpha
-        vals = np.where(feas, obj_of(Qs), math.inf)
-        order = np.argsort(vals)[:100]
-        best = vals[order[0]]
-        for k in order:
-            Q = Qs[k]
-            lo, hi = 0.0, 1.0          # KL((1-t) pi + t Q) grows with t
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                if kl_of((1 - mid) * pi + mid * Q) >= alpha:
-                    hi = mid
-                else:
-                    lo = mid
-            best = min(best, obj_of((1 - hi) * pi + hi * Q))
-        assert xi_q(S, q, alpha) == pytest.approx(best, abs=1e-4)
+    @pytest.mark.parametrize("q", [0, 1, 2])
+    @pytest.mark.parametrize("chain", sorted(FOUR_STATE))
+    def test_four_states_beat_snapped_grid(self, chain, q):
+        # the face rays are the only global layer; with corner rays alone K4
+        # at q = 0 rises by 0.40 and 2.52 at these levels, because its
+        # optimum splits the mass 2-2
+        S = laplacian_chain(FOUR_STATE[chain])
+        for alpha in (0.3 * math.log(4), 0.75 * math.log(4)):
+            assert xi_q(S, q, alpha) <= snapped_grid_oracle(S, q, alpha) + 1e-9
 
     def test_upper_bounds_explicit_feasible_point(self):
         S = three_state_chain()
@@ -185,7 +233,7 @@ class TestXiQ:
         with pytest.raises(SobolevError):
             xi_q(S, -0.5, 0.1)
         with pytest.raises(SobolevError):
-            # 5 states exceeds the dense-grid alphabet cap
+            # past 4 states the face rays no longer fit in MULTISTART
             S5 = validate_semigroup(np.ones((5, 5)) - 5.0 * np.eye(5))
             xi_q(S5, 2, 0.1)
 
@@ -305,6 +353,19 @@ class TestXiPqN:
             for a in (0.15, 0.4):
                 assert xi_pq_n(S, p, 2, 2, a) >= phi_pq(p, 2, c, a) - 1e-4
 
+    @pytest.mark.parametrize("chain,n", [
+        ("binary", 2), ("binary", 3), ("K3", 2), ("weighted3", 2)])
+    def test_tensorized_single_letter_value_bounds(self, chain, n):
+        # the n-fold product of a single-letter witness is feasible at the
+        # same rates, so the n-letter value can only be lower
+        S = {"binary": binary_semigroup(), "K3": three_state_chain(),
+             "weighted3": validate_semigroup(WEIGHTED3)}[chain]
+        hi = -math.log(S.stationary.min())
+        for q in (0.8, 1, 1.5, 2, 3):
+            for alpha in (0.2 * hi, 0.5 * hi, 0.8 * hi):
+                assert (xi_pq_n(S, q, q, n, alpha)
+                        <= xi_q(S, q, alpha) * (1 + 1e-12))
+
     def test_support_route_single_letter(self):
         # alpha = 0.2 admits only singleton supports; hand value 1/2
         S = binary_semigroup()
@@ -345,8 +406,7 @@ class TestXiPqN:
         # the faces are polished once from their own law, with no grid; the
         # dense grid on every maximal face is the oracle, at q != 2 on a
         # weighted chain that is not a graph
-        A = np.array([[0, 0.7, 0.3], [0.7, 0, 0.5], [0.3, 0.5, 0]])
-        S = validate_semigroup(A - np.diag(A.sum(axis=1)))
+        S = laplacian_chain([[0, 0.7, 0.3], [0.7, 0, 0.5], [0.3, 0.5, 0]])
         N = 3 ** n
         pin = pi_product(S, n)
         # reversing the letters of x maps faces to faces of equal grid
@@ -358,13 +418,15 @@ class TestXiPqN:
                      for f in _support_masks(N, m / N, pin)}
             oracle = {q: math.inf for q in (1.25, 1.5, 3.0, 5.0)}
             for face in faces:
-                grid = _simplex_grid(len(face), 1.0 / 400)
+                grid = simplex_grid(len(face), 1.0 / 400)
                 D = np.zeros((grid.shape[0], N))
                 D[:, list(face)] = grid
                 D /= pin
                 for q in oracle:
-                    oracle[q] = min(oracle[q],
-                                    _objective_rows(S, n, q, D, pin).min())
+                    qp = q / (q - 1.0)
+                    vals = dirichlet_rows(S, D ** (1.0 / q), D ** (1.0 / qp),
+                                          n, pin) / (q - 1.0)
+                    oracle[q] = min(oracle[q], vals.min())
             for q, best in oracle.items():
                 assert xi_pq_n(S, 0, q, n, alpha) * n <= best + 1e-12
 
@@ -396,8 +458,7 @@ def positive_chain_points(draw):
     n = draw(st.integers(1, 3))
     rates = draw(hnp.arrays(np.float64, (k, k), elements=st.floats(0, 2)))
     A = np.triu(rates, 1)
-    A = A + A.T
-    S = validate_semigroup(A - np.diag(A.sum(axis=1)))
+    S = laplacian_chain(A + A.T)
     w = draw(hnp.arrays(np.float64, k ** n, elements=st.floats(0.05, 3)))
     return S, n, w / w.sum()
 
@@ -425,7 +486,7 @@ def assert_close_relative(got, want, rel=1e-6):
 
 
 def objective(S, n, q, pin):
-    return lambda Q: _objective_unmasked(S, n, q, (Q / pin)[None, :], pin)[0]
+    return lambda Q: _objective(S, n, q, Q / pin, pin)
 
 
 class TestExactGradients:
