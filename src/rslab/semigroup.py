@@ -19,11 +19,15 @@ pair (the simplex optimizer in `sobolev` calls it), and `apply_generator`,
 `dirichlet_form_raw` and `product_heat_apply` are its one-row cases.
 `carre_du_champ` and `dirichlet_form` compute Gamma pairwise, from its
 definition; they are the reference that the tests and the benchmark compare
-the kernel against.
+the kernel against. `automorphisms` lists the index permutations of X^n
+that preserve L_n and pi^n, which the optimizer in `sobolev` uses to search
+one member of each orbit.
 """
 
+import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
+from itertools import permutations
 
 import numpy as np
 
@@ -159,6 +163,58 @@ def sequence_digits(m: int, n: int) -> np.ndarray:
     for k in range(n - 1, -1, -1):
         idx, out[:, k] = np.divmod(idx, m)
     return out
+
+
+def automorphisms(S: Semigroup, n: int) -> np.ndarray:
+    """Index permutations of X^n that preserve L_n and pi^n, as rows.
+
+    The group is Aut(L, pi) wr S_n: a permutation of the letters that keeps
+    L and pi exactly equal, chosen per coordinate, then any reordering of
+    the coordinates. Row g maps index x to g[x]; row 0 is the identity. Aut
+    is found by brute force over the m! letter permutations. Each dense
+    table here is capped at ENUMERATION_BUDGET entries, like every other
+    product-space array: where the letter permutations or the group would
+    not fit, the trivial group (the identity row alone) is returned, which
+    is still a subgroup. Cached on the exact bytes of L and pi and on n;
+    the rows are read-only.
+    """
+    L = np.ascontiguousarray(S.generator, dtype=float)
+    pi = np.ascontiguousarray(S.stationary, dtype=float)
+    return _automorphisms(L.tobytes(), pi.tobytes(), L.shape[0], n)
+
+
+@lru_cache(maxsize=64)
+def _automorphisms(L_bytes, pi_bytes, m, n):
+    L = np.frombuffer(L_bytes).reshape(m, m)
+    pi = np.frombuffer(pi_bytes)
+    N = m ** n
+    group = np.arange(N)[None, :]
+    if math.factorial(m) * m <= ENUMERATION_BUDGET:
+        P = np.array(list(permutations(range(m))))
+        P = P[np.all(pi[P] == pi, axis=1)]
+        for x in range(m):
+            P = P[np.all(L[P[:, x][:, None], P] == L[x], axis=1)]
+        if len(P) ** n * math.factorial(n) * N <= ENUMERATION_BUDGET:
+            group = _wreath_product(P, m, n)
+    group.flags.writeable = False
+    return group
+
+
+def _wreath_product(P, m, n):
+    """Rows y = (P[c_1][x_t(1)], ..., P[c_n][x_t(n)]) over every choice of
+    letter automorphisms c and coordinate order t, as indices of X^n."""
+    digits = sequence_digits(m, n)
+    weights = m ** np.arange(n - 1, -1, -1)
+    a = len(P)
+    blocks = []
+    for t in permutations(range(n)):
+        # coordinate k of the image under letter automorphism c_k, laid
+        # along axis k so the sum runs over every choice of c at once
+        rows = sum((P[:, digits[:, t[k]]] * weights[k]).reshape(
+                       (1,) * k + (a,) + (1,) * (n - k - 1) + (-1,))
+                   for k in range(n))
+        blocks.append(rows.reshape(a ** n, -1))
+    return np.concatenate(blocks)
 
 
 def _check_pair(S, f: NonnegFunction, g: NonnegFunction):

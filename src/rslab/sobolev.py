@@ -23,7 +23,21 @@ the corners beyond) cross the constraint boundary, found by bisection
 Each is polished by SLSQP with the divergence constraint as an inequality;
 xi_q at q > 0 is xi_pq_n at p = q, n = 1. The p = 0 support faces, where the
 objective is convex, get one polish without a constraint from pi restricted
-to the face. The optimizer evaluates the Dirichlet form at one point through
+to the face.
+
+Objective and constraint are invariant under every permutation of X^n that
+preserves L_n and pi^n; `semigroup.automorphisms` gives the group
+Aut(L, pi) wr S_n. The two enumerators search one member per orbit, under
+different groups. Support faces are reduced by the whole group: each face
+problem is convex, so every face of an orbit has the same minimum. Rays are
+reduced only by the stabilizer of state N - 1, and only on orbits where it
+acts freely. The polish runs in y = ln(Q/Q_last), and SLSQP is not
+equivariant under a change of that reference state; the stabilizer only
+permutes the y coordinates. A ray fixed by a nontrivial symmetry starts on
+that symmetry's fixed subspace, which the polish leaves only by rounding,
+so its whole orbit is kept.
+
+The optimizer evaluates the Dirichlet form at one point through
 `semigroup.dirichlet_rows` (`_objective`) and the divergence through
 `entropy.renyi_rows`. SLSQP gets exact gradients: the objective's from one
 `semigroup.generator_rows` call (`_objective_grad`), the divergence's in
@@ -59,6 +73,7 @@ from .semigroup import (
     ENUMERATION_BUDGET,
     NonnegFunction,
     Semigroup,
+    automorphisms,
     dirichlet_rows,
     generator_rows,
     pi_product,
@@ -338,7 +353,14 @@ def _level_crossing(out, inside, constraint_rows, level):
     return (1 - hi) * out + hi * inside
 
 
-def _ray_seeds(origin, constraint_rows, level):
+def _orbit_firsts(images):
+    """Positions of the first member of each orbit, in list order. Row i
+    holds the images of element i under every element of a group, as
+    comparable keys; its orbit is named by the least of them."""
+    return np.sort(np.unique(images.min(axis=1), return_index=True)[1])
+
+
+def _ray_seeds(origin, constraint_rows, level, symmetries):
     """Boundary points of the rays from origin toward the barycenter of every
     proper face of the simplex, corners first, when those 2^k - 2 faces fit
     in MULTISTART (k <= 4 states); toward each corner otherwise.
@@ -348,15 +370,30 @@ def _ray_seeds(origin, constraint_rows, level):
     there. The divergence constraints are convex in Q with value 0 at pi, so
     each ray crosses the level set at most once; all rays are bisected
     together.
+
+    symmetries holds index permutations of the k states, as rows, that fix
+    origin, the problem and the polish (`_optimize_density`). A face that
+    no nontrivial one of them fixes polishes, up to rounding, to the value
+    of every face in its orbit, so only the first of its orbit is kept. A
+    face fixed by a nontrivial symmetry is kept with its whole orbit: the
+    polish preserves the fixed subspace, which only rounding lets it
+    leave, and which member of the orbit leaves is a matter of rounding.
     """
     k = origin.size
     if 2 ** k - 2 <= MULTISTART:
         faces = [f for r in range(1, k) for f in combinations(range(k), r)]
-        targets = np.zeros((len(faces), k))
-        for i, f in enumerate(faces):
-            targets[i, list(f)] = 1.0 / len(f)
+        member = np.zeros((len(faces), k), dtype=bool)
+        for row, f in zip(member, faces):
+            row[list(f)] = True
+        images = member @ np.exp2(symmetries.T)     # image bitmasks
     else:
-        targets = np.eye(k)
+        member = np.eye(k, dtype=bool)
+        images = symmetries.T                       # image corners
+    ordered = np.sort(images, axis=1)
+    keep = np.any(ordered[:, 1:] == ordered[:, :-1], axis=1)
+    keep[_orbit_firsts(images)] = True
+    member = member[keep]
+    targets = member / member.sum(axis=1, keepdims=True)
     targets = targets[constraint_rows(targets) >= level]
     return list(_level_crossing(origin, targets, constraint_rows, level))
 
@@ -388,7 +425,11 @@ def _optimize_density(S, n, q, pin, constraint, level, face=None):
 
     Under a constraint the seeds are the points where the rays from pi
     toward the face barycenters (up to four states) or the corners cross the
-    level (`_ray_seeds`); they are the only global layer. On a face the
+    level (`_ray_seeds`); they are the only global layer. The rays are
+    reduced by the symmetries of the chain that fix state N - 1, not by all
+    of them: the polish below runs in y = ln(Q/Q_last), SLSQP is not
+    equivariant under a change of that reference state, and the symmetries
+    that fix it only permute the y coordinates. On a face the
     objective is convex (see xi_pq_n), so the one seed is pi restricted to
     the face and normalized. Each seed is polished by SLSQP with exact
     gradients, with the divergence constraint as an inequality, over
@@ -428,7 +469,9 @@ def _optimize_density(S, n, q, pin, constraint, level, face=None):
     if constraint_rows is None:
         seeds = [origin]
     else:
-        seeds = _ray_seeds(origin, constraint_rows, level)[:MULTISTART]
+        perms = automorphisms(S, n)
+        seeds = _ray_seeds(origin, constraint_rows, level,
+                           perms[perms[:, -1] == N - 1])[:MULTISTART]
 
     # polish over log-mass ratios y_i = ln(Q_i / Q_k): optima often sit on
     # a face (q > 1) or within 1e-10 of one (q <= 1), where the powers of Q
@@ -511,21 +554,31 @@ def sample_xi_curve(S, q, size=64):
 
 
 def _support_masks(N, max_mass, pin):
-    """Maximal support subsets with pi-mass <= max_mass, as index tuples."""
+    """Maximal support subsets with pi-mass <= max_mass, as the rows of a
+    boolean (faces, N) membership matrix: largest first, and in increasing
+    bitmask order within a size."""
     mass = np.zeros(1 << N)
-    for b in range(1, 1 << N):
-        low = b & -b
-        mass[b] = mass[b ^ low] + pin[low.bit_length() - 1]
-    bits = [b for b in range(1, 1 << N) if mass[b] <= max_mass + 1e-12]
+    for i in range(N - 1, -1, -1):
+        # masks whose lowest bit is i: their mass adds pin[i] last
+        b = np.arange(1 << i, 1 << N, 2 << i)
+        mass[b] = mass[b ^ (1 << i)] + pin[i]
+    ok = mass <= max_mass + 1e-12
+    ok[0] = False
+    bits = np.flatnonzero(ok)
     if len(bits) > 4096:
         raise SobolevError("support enumeration too large at this alpha")
-    bits.sort(key=lambda b: (-bin(b).count("1"), b))
-    # drop non-maximal subsets: optimizing over a face covers its subfaces
-    keep = []
-    for b in bits:
-        if not any(b & k == b for k in keep):
-            keep.append(b)
-    return [tuple(i for i in range(N) if b >> i & 1) for b in keep]
+    # drop non-maximal subsets: optimizing over a face covers its subfaces.
+    # under[b]: b lies in some admissible set; a mask is maximal when no
+    # one-element extension of it does
+    under, extends = ok.copy(), np.zeros_like(ok)
+    for i in range(N):
+        u = under.reshape(-1, 2, 1 << i)
+        u[:, 0] |= u[:, 1]
+    for i in range(N):
+        extends.reshape(-1, 2, 1 << i)[:, 0] |= under.reshape(-1, 2, 1 << i)[:, 1]
+    bits = bits[~extends[bits]]
+    member = (bits[:, None] >> np.arange(N)) & 1 == 1
+    return member[np.lexsort((bits, -member.sum(axis=1)))]
 
 
 def xi_pq_n(S: Semigroup, p, q, n, alpha, return_witness=False):
@@ -564,10 +617,14 @@ def xi_pq_n(S: Semigroup, p, q, n, alpha, return_witness=False):
         if N > 16:
             raise SobolevError("support enumeration capped at |X|^n <= 16")
         # the support fixes the level, so each face is optimized without
-        # constraint; the first face of least value wins ties
+        # constraint. Every symmetry of the chain maps a face problem onto
+        # an equal convex one, so one face per orbit of the whole group is
+        # polished; among those, the first face of least value wins ties
+        member = _support_masks(N, math.exp(-n * alpha), pin)
+        images = member @ np.exp2(automorphisms(S, n).T)   # image bitmasks
         val, Q = min((_optimize_density(S, n, q, pin, None, None,
-                                        face=np.array(idx))
-                      for idx in _support_masks(N, math.exp(-n * alpha), pin)),
+                                        face=np.flatnonzero(member[i]))
+                      for i in _orbit_firsts(images)),
                      key=lambda c: c[0])
         val = val / n
         return (val, Q) if return_witness else val

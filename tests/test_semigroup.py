@@ -9,9 +9,11 @@ from hypothesis.extra import numpy as hnp
 from rslab.semigroup import (
     ENUMERATION_BUDGET,
     NonnegFunction,
+    Semigroup,
     SemigroupError,
     apply_generator,
     as_function,
+    automorphisms,
     binary_semigroup,
     carre_du_champ,
     derivative_check,
@@ -288,6 +290,62 @@ class TestHelpers:
         pin = pi_product(S, 2)
         out = product_heat_apply(S, 0.7, v, 2)
         assert abs(pin @ out - pin @ v) < 1e-12
+
+
+def kron_generator(S, n):
+    m = S.nstates
+    return sum(np.kron(np.kron(np.eye(m ** k), S.generator),
+                       np.eye(m ** (n - 1 - k))) for k in range(n))
+
+
+def complete_generator(m):
+    return np.ones((m, m)) - m * np.eye(m)
+
+
+class TestAutomorphisms:
+    @pytest.mark.parametrize("L,n,order", [
+        (complete_generator(2), 2, 8),
+        (complete_generator(2), 3, 48),
+        (complete_generator(3), 2, 72),
+        (complete_generator(4), 2, 1152),
+        (cycle_generator(4), 1, 8),
+        ([[-0.7, 0.2, 0.5], [0.2, -1.1, 0.9], [0.5, 0.9, -1.4]], 1, 1),
+    ], ids=["K2^2", "K2^3", "K3^2", "K4^2", "C4", "weighted3"])
+    def test_group_order_and_invariance(self, L, n, order):
+        S = validate_semigroup(L)
+        G = automorphisms(S, n)
+        N = S.nstates ** n
+        assert G.shape == (order, N)
+        assert np.array_equal(G[0], np.arange(N))
+        assert np.array_equal(np.sort(G, axis=1), np.tile(np.arange(N),
+                                                          (order, 1)))
+        assert len({tuple(g) for g in G}) == order
+        # exact equality: every row is a symmetry of L_n and of pi^n
+        Ln, pin = kron_generator(S, n), pi_product(S, n)
+        assert np.array_equal(Ln[G[:, :, None], G[:, None, :]],
+                              np.broadcast_to(Ln, (order, N, N)))
+        assert np.array_equal(pin[G], np.broadcast_to(pin, (order, N)))
+
+    def test_stationary_law_breaks_symmetry(self):
+        # the flip of K2 keeps L but not a biased pi; the coordinate swap
+        # of K2^2 keeps both
+        S = Semigroup(complete_generator(2), np.array([0.25, 0.75]))
+        assert automorphisms(S, 1).shape == (1, 2)
+        assert automorphisms(S, 2).tolist() == [[0, 1, 2, 3], [0, 2, 1, 3]]
+
+    def test_tables_beyond_the_budget_give_the_trivial_group(self):
+        # K2^6: 2^6 * 6! rows of 64 entries; K9: 9! letter permutations
+        for L, n in ((complete_generator(2), 6), (complete_generator(9), 1)):
+            S = validate_semigroup(L)
+            N = S.nstates ** n
+            assert automorphisms(S, n).tolist() == [list(range(N))]
+
+    def test_cached_and_read_only(self):
+        S = validate_semigroup(complete_generator(3))
+        G = automorphisms(S, 2)
+        assert automorphisms(validate_semigroup(complete_generator(3)),
+                             2) is G
+        assert not G.flags.writeable
 
 
 @st.composite

@@ -415,7 +415,8 @@ class TestXiPqN:
         for m in range(2, min(3, N - 1) + 1):
             alpha = -math.log(m / N) / n
             faces = {min(f, tuple(sorted(rev[list(f)].tolist())))
-                     for f in _support_masks(N, m / N, pin)}
+                     for f in (tuple(np.flatnonzero(row).tolist())
+                               for row in _support_masks(N, m / N, pin))}
             oracle = {q: math.inf for q in (1.25, 1.5, 3.0, 5.0)}
             for face in faces:
                 grid = simplex_grid(len(face), 1.0 / 400)
@@ -429,6 +430,36 @@ class TestXiPqN:
                     oracle[q] = min(oracle[q], vals.min())
             for q, best in oracle.items():
                 assert xi_pq_n(S, 0, q, n, alpha) * n <= best + 1e-12
+
+    @pytest.mark.parametrize("N,weighted", [(4, False), (8, False),
+                                            (9, True), (12, True)])
+    def test_support_masks_match_brute_force(self, N, weighted):
+        # every admissible subset, kept when no admissible set strictly
+        # contains it, largest first and by bitmask within a size
+        rng = np.random.default_rng(N)
+        pin = rng.dirichlet(np.ones(N)) if weighted else np.full(N, 1.0 / N)
+        for max_mass in (0.2, 0.45, 0.7):
+            ok = [b for b in range(1, 1 << N)
+                  if sum(pin[i] for i in range(N) if b >> i & 1)
+                  <= max_mass + 1e-12]
+            want = sorted((b for b in ok if not any(
+                b != c and b & c == b for c in ok)),
+                key=lambda b: (-bin(b).count("1"), b))
+            got = _support_masks(N, max_mass, pin)
+            assert got.dtype == bool and got.shape == (len(want), N)
+            assert [sum(1 << int(i) for i in np.flatnonzero(row))
+                    for row in got] == want
+
+    def test_rays_reduced_only_by_the_reference_state_stabilizer(self):
+        # The polish runs in y = ln(Q/Q_last), so SLSQP is equivariant only
+        # under the symmetries that fix the last state. At this level only
+        # the corner rays are feasible. All four corners of K2^2 are one
+        # orbit of the whole group, yet from corners 1 and 2 (swapped by
+        # the stabilizer of corner 3) the polish reaches 0.3191262, and from
+        # corners 0 and 3 it stops at 0.3337987: keeping one ray per orbit
+        # of the whole group keeps corner 0 alone and reports the latter
+        S = binary_semigroup()
+        assert xi_pq_n(S, 1, 2, 2, 0.420970) <= 0.31912626966 * (1 + 1e-12)
 
     def test_support_enumeration_cap(self):
         # K2^4 at supports of five states: 6884 subsets pass the mass test,
@@ -448,6 +479,55 @@ class TestXiPqN:
             xi_pq_n(S, 0, 1, 2, 0.2)     # support route needs q > 1
         with pytest.raises(SobolevError):
             xi_pq_n(S, 2, 2, 25, 0.2)    # budget
+
+
+def trivial_group(S, n):
+    return np.arange(S.nstates ** n)[None, :]
+
+
+def symmetric_chain(name):
+    if name == "binary":
+        return binary_semigroup()
+    if name == "K3":
+        return three_state_chain()
+    return laplacian_chain(FOUR_STATE[name])
+
+
+class TestOrbitReduction:
+    """Values with the symmetry reduction against the same calls with the
+    trivial group, which searches every seed and every support face."""
+
+    @pytest.mark.parametrize("chain,n", [
+        ("binary", 2), ("binary", 3), ("K3", 1), ("K3", 2), ("K4", 1),
+        ("C4", 1)])
+    def test_face_rays(self, monkeypatch, chain, n):
+        S = symmetric_chain(chain)
+        hi = -math.log(S.stationary.min())
+        calls = [(p, q, f * hi) for p, q in ((1, 2), (0.5, 1.5), (2, 2))
+                 for f in (0.3, 0.7)]
+        if n == 1:
+            calls += [("xi_q", 0, f * hi) for f in (0.3, 0.7)]
+
+        def values():
+            return [xi_q(S, q, a) if p == "xi_q" else xi_pq_n(S, p, q, n, a)
+                    for p, q, a in calls]
+
+        reduced = values()
+        monkeypatch.setattr(sobolev, "automorphisms", trivial_group)
+        for r, full in zip(reduced, values()):
+            assert r <= full * (1 + 1e-12)
+
+    @pytest.mark.parametrize("chain,n,m", [
+        ("binary", 2, 2), ("binary", 3, 3), ("K3", 2, 2), ("K4", 1, 2),
+        ("C4", 1, 2), ("K4", 2, 2)])
+    def test_support_faces(self, monkeypatch, chain, n, m):
+        S = symmetric_chain(chain)
+        N = S.nstates ** n
+        alpha = math.log(N / m) / n
+        reduced = [xi_pq_n(S, 0, q, n, alpha) for q in (1.5, 2, 3)]
+        monkeypatch.setattr(sobolev, "automorphisms", trivial_group)
+        for r, q in zip(reduced, (1.5, 2, 3)):
+            assert r <= xi_pq_n(S, 0, q, n, alpha) * (1 + 1e-12)
 
 
 @st.composite
