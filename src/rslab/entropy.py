@@ -11,6 +11,9 @@ finite equal to s gives s ln(||f||_inf / ||f||_s); both infinite gives
 with Q = f^q pi / E[f^q] holds throughout and is exercised by the tests.
 
 All sums run in log space where overflow is a risk.  Convention 0 ln 0 = 0.
+Every log-sum-exp goes through `_logsumexp`, which repeats the steps of
+scipy.special.logsumexp for real input, and so gives its bits, without its
+per-call overhead.
 
 `renyi_rows` is the one Renyi divergence: it evaluates D_gamma row by row for
 the simplex optimizer in `sobolev`, and `renyi_divergence` is its checked
@@ -21,7 +24,6 @@ to SLSQP as the constraint normal.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 INF = float("inf")
 
@@ -58,6 +60,29 @@ def _coerce(f):
     return v
 
 
+def _logsumexp(a):
+    """ln sum exp(a) over the last axis of a real array.
+
+    The steps of scipy.special.logsumexp for real input, in plain numpy and
+    so with its bits: the m entries equal to the max are summed apart, as
+    log1p(s/m) + ln m + max with s the sum of exp(a - max) over the rest;
+    where that is not finite (every entry -inf, or an entry +inf), the
+    result is ln sum exp(a) itself. An empty axis gives -inf.
+    """
+    if a.shape[-1] == 0:
+        return np.full(a.shape[:-1], -INF)[()]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        amax = a.max(axis=-1, keepdims=True)
+        top = a == amax
+        m = top.sum(axis=-1, keepdims=True, dtype=float)
+        s = np.exp(np.where(top, -INF, a) - amax).sum(axis=-1, keepdims=True)
+        out = (np.log1p(np.where(s == 0, s, s / m)) + np.log(m) + amax)[..., 0]
+        bad = ~np.isfinite(out)
+        if np.any(bad):
+            out = np.where(bad, np.log(np.exp(a).sum(axis=-1)), out)
+    return out[()]
+
+
 def ent(f, pi) -> float:
     """Ent(f) = E[f ln f] - E[f] ln E[f], with 0 ln 0 = 0."""
     v = _coerce(f)
@@ -73,7 +98,7 @@ def _log_norm(v, pi, s: float) -> float:
     pos = v > 0
     if not np.any(pos):
         return -INF
-    return logsumexp(np.log(pi[pos]) + s * np.log(v[pos])) / s
+    return _logsumexp(np.log(pi[pos]) + s * np.log(v[pos])) / s
 
 
 def ent_pq(f, pi, p, q) -> float:
@@ -109,7 +134,7 @@ def density_from_function(f, pi, q: float) -> Distribution:
     pos = v > 0
     logw = np.full(v.shape, -INF)
     logw[pos] = np.log(pi[pos]) + q * np.log(v[pos])
-    logw -= logsumexp(logw)
+    logw -= _logsumexp(logw)
     return Distribution(np.exp(logw), pi)
 
 
@@ -130,7 +155,7 @@ def renyi_rows(Qs, pi, logpi, gamma) -> np.ndarray:
             return np.log((Qs / pi).max(axis=1))
         expo = np.where(Qs > 0, gamma * np.log(Qs) + (1 - gamma) * logpi,
                         -INF)
-    return logsumexp(expo, axis=1) / (gamma - 1.0)
+    return _logsumexp(expo) / (gamma - 1.0)
 
 
 def renyi_grad(Q, pi, logpi, gamma) -> np.ndarray:
@@ -150,7 +175,7 @@ def renyi_grad(Q, pi, logpi, gamma) -> np.ndarray:
             h[np.argmax(Q / pi)] = 1.0
             return h
         expo = np.where(Q > 0, gamma * np.log(Q) + (1 - gamma) * logpi, -INF)
-    return (gamma / (gamma - 1.0)) * np.exp(expo - logsumexp(expo))
+    return (gamma / (gamma - 1.0)) * np.exp(expo - _logsumexp(expo))
 
 
 def renyi_divergence(Q, pi, gamma) -> float:

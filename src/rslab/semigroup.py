@@ -13,10 +13,13 @@ and the carre du champ / Dirichlet form pair is
     E(f, g)        = <Gamma(f, g)>_pi = -<L f, g>_pi .
 
 One kernel computes the product-chain action: `_axis_apply` contracts a
-matrix against one coordinate of a batch of rows. `generator_rows` sums it
-over the coordinates, `dirichlet_rows` gives -<L u_i, v_i>_{pi^n} per row
-pair (the simplex optimizer in `sobolev` calls it), and `apply_generator`,
-`dirichlet_form_raw` and `product_heat_apply` are its one-row cases.
+matrix against one coordinate of a batch of rows, by a batched matrix
+product on a reshaped view for the leading coordinates and one plain matrix
+product for the last, so no axis is moved. `generator_rows` sums it over
+the coordinates (the simplex optimizer in `sobolev` calls it),
+`dirichlet_rows` gives -<L u_i, v_i>_{pi^n} per row pair, and
+`apply_generator`, `dirichlet_form_raw` and `product_heat_apply` are its
+one-row cases.
 `carre_du_champ` and `dirichlet_form` compute Gamma pairwise, from its
 definition; they are the reference that the tests and the benchmark compare
 the kernel against. `automorphisms` lists the index permutations of X^n
@@ -227,11 +230,13 @@ def _check_pair(S, f: NonnegFunction, g: NonnegFunction):
 
 
 def _axis_apply(M: np.ndarray, U: np.ndarray, m: int, n: int, k: int):
-    # contract M against coordinate k of every row of the batch U (R, m^n),
-    # viewed as (R m^k, m, m^(n-k-1)) so no axis has to move
-    X = U.reshape(-1, m, m ** (n - k - 1))
-    out = np.tensordot(M, X, axes=([1], [1])).transpose(1, 0, 2)
-    return out.reshape(U.shape)
+    # contract M against coordinate k of every row of the batch U (R, m^n).
+    # Before the last coordinate, U is viewed as (R m^k, m, m^(n-k-1)) and M
+    # multiplies each block from the left, so no axis has to move; the last
+    # coordinate is one (R m^(n-1), m) @ M^T product, not R m^(n-1) tiny ones
+    if k == n - 1:
+        return (U.reshape(-1, m) @ M.T).reshape(U.shape)
+    return np.matmul(M, U.reshape(-1, m, m ** (n - k - 1))).reshape(U.shape)
 
 
 def generator_rows(S: Semigroup, U: np.ndarray, n: int) -> np.ndarray:

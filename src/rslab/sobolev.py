@@ -37,11 +37,13 @@ permutes the y coordinates. A ray fixed by a nontrivial symmetry starts on
 that symmetry's fixed subspace, which the polish leaves only by rounding,
 so its whole orbit is kept.
 
-The optimizer evaluates the Dirichlet form at one point through
-`semigroup.dirichlet_rows` (`_objective`) and the divergence through
-`entropy.renyi_rows`. SLSQP gets exact gradients: the objective's from one
-`semigroup.generator_rows` call (`_objective_grad`), the divergence's in
-closed form (`entropy.renyi_grad`).
+The optimizer evaluates the Dirichlet form with `_objective` and the
+divergence through `entropy.renyi_rows`. SLSQP gets exact gradients: the
+objective's value and gradient come from one `semigroup.generator_rows` call
+on the stacked rows [u, v], the divergence's gradient in closed form
+(`entropy.renyi_grad`). Each point y that SLSQP visits costs one softmax and
+one such call, shared by the value, the gradient and the constraint; seeds
+and re-scores take the value alone, from the row u.
 
 The two-point chain admits a closed form (binary_xi_q) used as an oracle, in
 terms of y = h^{-1}(ln 2 - alpha) on [0, 1/2] (binary_xi_y for q > 0):
@@ -66,15 +68,13 @@ from itertools import combinations
 
 import numpy as np
 from scipy.optimize import minimize
-from scipy.special import logsumexp
 
-from .entropy import renyi_divergence, renyi_grad, renyi_rows
+from .entropy import _logsumexp, renyi_divergence, renyi_grad, renyi_rows
 from .semigroup import (
     ENUMERATION_BUDGET,
     NonnegFunction,
     Semigroup,
     automorphisms,
-    dirichlet_rows,
     generator_rows,
     pi_product,
     sequence_digits,
@@ -269,40 +269,31 @@ def lsi_constant(curve: SampledCurve, q) -> float:
 MULTISTART = 16            # seeds polished per call
 
 
-def _objective(S: Semigroup, n, q, D, pin):
-    """Dirichlet objective of the density characterization at one density
-    D = Q/pi^n; inf for q <= 1 where D has a zero."""
-    if q <= 1 and not np.all(D > 0):
+def _objective(S: Semigroup, n, q, Q, pin, grad=False):
+    """Dirichlet objective F of the density characterization at one
+    distribution Q on X^n, with D = Q/pi^n; inf for q <= 1 where D has a
+    zero. With grad, the pair (F, h) with h = Q * dF/dQ.
+
+    F is -<pi^n, L u . v>/(q-1) on the rows u = D^{1/q}, v = D^{1/q'}, and
+    -<pi^n, L D . ln D> at q = 1 and <pi^n, L D . (1/D)> at q = 0. The
+    gradient needs L v too, and L is self-adjoint in L^2(pi^n), so one
+    generator call on the stacked rows [u, v] gives both:
+
+        q = 1:  h = -pi [D L ln D + L D]
+        q = 0:  h =  pi [D L(1/D) - (L D) / D]
+        else:   h = -(pi/(q-1)) [u Lv / q + v Lu / q']
+
+    For q > 1 h is finite, and zero, where Q is zero; for q <= 1 it is only
+    meaningful where Q is strictly positive. Without grad only the row u is
+    sent through the generator.
+    """
+    D = Q / pin
+    infinite = q <= 1 and not np.all(D > 0)
+    if infinite and not grad:
         return INF
-    D = D[None, :]
     # the polish reaches densities near 1e-300, where negative powers of D
     # overflow to the infinite value the objective has there
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if q == 1:
-            val = dirichlet_rows(S, D, np.log(D), n, pin)
-        elif q == 0:
-            val = -dirichlet_rows(S, D, 1.0 / D, n, pin)
-        else:
-            qp = q / (q - 1.0)
-            val = dirichlet_rows(S, D ** (1.0 / q), D ** (1.0 / qp), n, pin)
-            val = val / (q - 1.0)
-    return float(val[0])
-
-
-def _objective_grad(S, n, q, Q, pin):
-    """h = Q * dF/dQ of the objective F at one distribution Q on X^n, from
-    one generator call on a pair of rows; L is self-adjoint in L^2(pi^n).
-
-        q = 1:  -pi [D L ln D + L D]                  (rows D, ln D)
-        q = 0:   pi [D L(1/D) - (L D) / D]            (rows D, 1/D)
-        else:   -(pi/(q-1)) [u Lv / q + v Lu / q']    (rows u, v)
-
-    with D = Q/pi, u = D^{1/q} and v = D^{1/q'}. For q > 1 h is finite, and
-    zero, where Q is zero; for q <= 1 Q must be strictly positive (the
-    objective is inf otherwise).
-    """
-    D = Q / pin
-    with np.errstate(divide="ignore", invalid="ignore"):
         if q == 1:
             A, B = D, np.log(D)
         elif q == 0:
@@ -310,12 +301,18 @@ def _objective_grad(S, n, q, Q, pin):
         else:
             qp = q / (q - 1.0)
             A, B = D ** (1.0 / q), D ** (1.0 / qp)
-    LA, LB = generator_rows(S, np.stack([A, B]), n)
-    if q == 1:
-        return -pin * (D * LB + LA)
-    if q == 0:
-        return pin * (D * LB - LA / D)
-    return -(pin / (q - 1.0)) * (A * LB / q + B * LA / qp)
+        LU = generator_rows(S, np.stack([A, B]) if grad else A[None, :], n)
+        E = -np.einsum("x,rx,rx->r", pin, LU[:1], B[None, :])[0]
+        val = E if q == 1 else -E if q == 0 else E / (q - 1.0)
+        val = INF if infinite else float(val)
+        if not grad:
+            return val
+        LA, LB = LU
+        if q == 1:
+            return val, -pin * (D * LB + LA)
+        if q == 0:
+            return val, pin * (D * LB - LA / D)
+        return val, -(pin / (q - 1.0)) * (A * LB / q + B * LA / qp)
 
 
 def _logvar_rows(Qs, pin, logpin):
@@ -461,7 +458,7 @@ def _optimize_density(S, n, q, pin, constraint, level, face=None):
         if (constraint_rows is not None
                 and not constraint_rows(Q[None, :])[0] >= level - 1e-13):
             return INF
-        return _objective(S, n, q, Q / pin, pin)
+        return _objective(S, n, q, Q, pin)
 
     if k == 1:
         return full_objective(np.ones(1)), embed(np.ones(1))
@@ -476,29 +473,47 @@ def _optimize_density(S, n, q, pin, constraint, level, face=None):
     # polish over log-mass ratios y_i = ln(Q_i / Q_k): optima often sit on
     # a face (q > 1) or within 1e-10 of one (q <= 1), where the powers of Q
     # in objective and constraint have infinite slope in Q but not in y
-    def polish_objective(y):
-        return _objective(S, n, q, embed(_softmax_point(y)) / pin, pin)
+    def polish_problem():
+        """fun, jac and constraints of one SLSQP polish. SLSQP asks for the
+        value, the gradient and the constraint at the same y: each distinct
+        y costs one softmax and one objective evaluation, kept by y's bytes
+        for the rest of the polish."""
+        points = {}
 
-    def polish_constraint(y):
-        return constraint_rows(_softmax_point(y)[None, :])[0] - level
+        def at(y):
+            key = y.tobytes()
+            if key not in points:
+                P = _softmax_point(y)
+                Q = embed(P)
+                points[key] = (P, Q) + _objective(S, n, q, Q, pin, grad=True)
+            return points[key]
 
-    def y_jac(grad):
+        def fun(y):
+            return at(y)[2]
+
         def jac(y):
-            P = _softmax_point(y)
-            return _y_gradient(grad(embed(P)), P, face)
-        return jac
+            P, _, _, h = at(y)
+            return _y_gradient(h, P, face)
+
+        def constraint(y):
+            return constraint_rows(at(y)[1][None, :])[0] - level
+
+        def constraint_jac(y):
+            P, Q, _, _ = at(y)
+            return _y_gradient(constraint_grad(Q), P, face)
+
+        constraints = ([] if constraint_rows is None else
+                       [{"type": "ineq", "fun": constraint,
+                         "jac": constraint_jac}])
+        return fun, jac, constraints
 
     bounds = [(-700.0, 700.0)] * (k - 1)
-    constraints = ([] if constraint_rows is None else
-                   [{"type": "ineq", "fun": polish_constraint,
-                     "jac": y_jac(constraint_grad)}])
-    objective_jac = y_jac(lambda Q: _objective_grad(S, n, q, Q, pin))
     candidates = []
     for s in seeds:
         ls = np.log(np.maximum(s, 1e-300))
-        res = minimize(polish_objective, ls[:-1] - ls[-1], method="SLSQP",
-                       jac=objective_jac, bounds=bounds,
-                       constraints=constraints,
+        fun, jac, constraints = polish_problem()
+        res = minimize(fun, ls[:-1] - ls[-1], method="SLSQP", jac=jac,
+                       bounds=bounds, constraints=constraints,
                        options={"ftol": 1e-15, "maxiter": 200})
         P = _softmax_point(res.x)
         v = full_objective(P)
@@ -717,7 +732,7 @@ def _product_density(Qw, pi, k, eps=None):
         if not np.any(keep):
             raise SobolevError("empty typical set: eps too small for this "
                                "length")
-        logp = logp - logsumexp(logp[keep])
+        logp = logp - _logsumexp(logp[keep])
     out = np.zeros(len(logp))
     out[keep] = np.exp(logp[keep] - (counts @ np.log(pi))[keep])
     return out
@@ -781,6 +796,6 @@ def extremal_report(spec: ExtremalSpec, S: Semigroup, p, q) -> ExtremalReport:
     Qn = f.values * pin
     Qn = Qn / Qn.sum()
     ent_rate = renyi_divergence(Qn, pin, p / q) / n
-    dirichlet_rate = _objective(S, n, q, Qn / pin, pin) / n
+    dirichlet_rate = _objective(S, n, q, Qn, pin) / n
     return ExtremalReport(float(ent_rate) + 0.0, float(dirichlet_rate) + 0.0,
                           n, p, q)

@@ -22,17 +22,18 @@ from rslab.concentration import (
     upsilon_bound,
     xi_inverse,
 )
-from rslab.sobolev import LN2, alpha_of_u, binary_xi_q, conv_envelope, \
-    hfun, sample_binary_curve
+from rslab.sobolev import LN2, alpha_of_u, binary_xi_q, binary_xi_y, \
+    conv_envelope, hfun, sample_binary_curve
 
 E1 = math.e - 1.0
 
 
 def xi_inverse_oracle(s, t):
-    """Invert the two-point curve through y-space root finding."""
-    if t >= binary_xi_q(s, LN2):
+    """Invert the two-point curve through y-space root finding: brentq on
+    the curve's y form, which needs no h^{-1} inside each step."""
+    if t >= binary_xi_y(s, 0.0):
         return LN2
-    g = lambda y: binary_xi_q(s, LN2 - hfun(y)) - t
+    g = lambda y: binary_xi_y(s, y) - t
     y = brentq(g, 1e-18, 0.5, xtol=1e-15)
     return LN2 - hfun(y)
 

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from rslab.entropy import (
     Distribution,
     EntropyError,
+    _logsumexp,
     density_from_function,
     ent,
     ent_pq,
@@ -164,3 +166,53 @@ class TestRenyiDivergence:
             Distribution(np.array([0.5, 0.6]), pi)
         with pytest.raises(EntropyError):
             Distribution(np.array([-0.1, 1.1]), pi)
+
+
+def logsumexp_rows(rng, R, N):
+    """Random real rows with the cases that take the helper's side paths:
+    -inf entries, tied maxima, integer-valued (so often tied) rows, whole
+    rows of -inf, and entries spread from 1e-3 to 400."""
+    a = rng.normal(0.0, rng.choice([1e-3, 1.0, 30.0, 400.0]), (R, N))
+    if rng.random() < 0.3:
+        a = np.round(a)
+    if rng.random() < 0.3:
+        a[:, :N // 2 + 1] = a[:, :1]           # the first half ties
+    if rng.random() < 0.5:
+        a[rng.random((R, N)) < 0.3] = -INF
+    if rng.random() < 0.15:
+        a[rng.integers(R)] = -INF
+    return a
+
+
+class TestLogSumExp:
+    """The local logsumexp against scipy.special.logsumexp at the installed
+    scipy, bit for bit: it repeats scipy's steps so that every divergence
+    keeps its last bits."""
+
+    def test_rows_match_scipy_bit_for_bit(self):
+        rng = np.random.default_rng(12)
+        for _ in range(800):
+            a = logsumexp_rows(rng, int(rng.integers(1, 5)),
+                               int(rng.integers(1, 30)))
+            got, want = _logsumexp(a), logsumexp(a, axis=1)
+            assert got.shape == want.shape
+            assert np.array_equal(got, want, equal_nan=True)
+            for row in a:
+                one, ref = _logsumexp(row), logsumexp(row)
+                assert type(one) is type(ref)
+                assert np.array_equal(one, ref, equal_nan=True)
+
+    @pytest.mark.parametrize("row", [
+        [0.3], [-INF], [-INF, -INF, -INF], [2.0, 2.0, 2.0], [5.0, -INF, 5.0],
+        [-745.0, -745.0], [700.0, 700.0, 1.0], [1e-300, -1e-300, 0.0]])
+    def test_edge_rows(self, row):
+        a = np.array(row)
+        assert np.array_equal(_logsumexp(a), logsumexp(a), equal_nan=True)
+        assert np.array_equal(_logsumexp(np.stack([a, a[::-1]])),
+                              logsumexp(np.stack([a, a[::-1]]), axis=1),
+                              equal_nan=True)
+
+    def test_empty_rows_give_minus_infinity(self):
+        assert _logsumexp(np.zeros(0)) == -INF == logsumexp(np.zeros(0))
+        assert np.array_equal(_logsumexp(np.zeros((2, 0))),
+                              logsumexp(np.zeros((2, 0)), axis=1))

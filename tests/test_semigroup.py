@@ -2,6 +2,7 @@ from functools import reduce
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -19,6 +20,7 @@ from rslab.semigroup import (
     derivative_check,
     dirichlet_form,
     dirichlet_rows,
+    generator_rows,
     heat_operator,
     load_generator,
     normalized_dirichlet_form,
@@ -384,6 +386,27 @@ class TestKernelProperties:
             scale = n * max(1.0, np.abs(S.generator).max()) \
                 * U[i].max() * V[i].max()
             assert abs(rows[i] - ref) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8])
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_generator_rows_match_kronecker_sum(self, m, n):
+        # sum_k I (x) L (x) I, built as sparse Kronecker products (dense, it
+        # would not fit at m^n = 4^8). The rates are not symmetric, so a
+        # contraction against L^T instead of L would show. At n = 8 and 3
+        # rows the last coordinate is one (3 m^7, m) @ L^T product.
+        rng = np.random.default_rng(10 * m + n)
+        L = rng.uniform(0.0, 2.0, (m, m))
+        np.fill_diagonal(L, 0.0)
+        L -= np.diag(L.sum(axis=1))
+        S = Semigroup(L, np.full(m, 1.0 / m))
+        K = sum(sp.kron(sp.kron(sp.identity(m ** k), L),
+                        sp.identity(m ** (n - 1 - k)))
+                for k in range(n)).tocsr()
+        for R in (1, 3):
+            U = rng.uniform(-1.0, 3.0, (R, m ** n))
+            scale = n * np.abs(L).max() * np.abs(U).max()
+            err = np.abs(generator_rows(S, U, n) - (K @ U.T).T).max()
+            assert err <= 1e-14 * scale
 
     @KERNEL_SETTINGS
     @given(chain_batches())

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from rslab import sobolev
+from rslab import semigroup, sobolev
 from rslab.entropy import renyi_grad, renyi_rows
 from rslab.semigroup import (
     Semigroup,
@@ -21,7 +21,6 @@ from rslab.sobolev import (
     _logvar_grad,
     _logvar_rows,
     _objective,
-    _objective_grad,
     _softmax_point,
     _support_masks,
     _y_gradient,
@@ -566,7 +565,7 @@ def assert_close_relative(got, want, rel=1e-6):
 
 
 def objective(S, n, q, pin):
-    return lambda Q: _objective(S, n, q, Q / pin, pin)
+    return lambda Q: _objective(S, n, q, Q, pin)
 
 
 class TestExactGradients:
@@ -579,7 +578,7 @@ class TestExactGradients:
         S, n, Q = case
         pin = pi_product(S, n)
         assert_close_relative(
-            _objective_grad(S, n, q, Q, pin),
+            _objective(S, n, q, Q, pin, grad=True)[1],
             log_central_differences(objective(S, n, q, pin), Q))
 
     @pytest.mark.parametrize("gamma", [0.5, 1, 1.5, 2])
@@ -629,7 +628,7 @@ class TestExactGradients:
 
         for F, grad in (
                 (objective(S, n, 2.5, pin),
-                 lambda Q: _objective_grad(S, n, 2.5, Q, pin)),
+                 lambda Q: _objective(S, n, 2.5, Q, pin, grad=True)[1]),
                 (lambda Q: renyi_rows(Q, pin, logpin, 0.75)[0],
                  lambda Q: renyi_grad(Q, pin, logpin, 0.75))):
             P = _softmax_point(y)
@@ -643,7 +642,7 @@ class TestExactGradients:
         logpin = np.log(pin)
         P = _softmax_point(np.array([700.0, -700.0]))
         assert P[1] == 0.0 and P[2] > 0.0
-        for h in (_objective_grad(S, 1, 2, P, pin),
+        for h in (_objective(S, 1, 2, P, pin, grad=True)[1],
                   renyi_grad(P, pin, logpin, 1.0),
                   renyi_grad(P, pin, logpin, 1.5)):
             assert np.all(np.isfinite(_y_gradient(h, P, None)))
@@ -683,6 +682,56 @@ class TestPolishGradients:
                 assert_close_relative(jac(x0), central_differences(f, x0))
         if route != "support":
             assert all(kwargs["constraints"] for _, _, kwargs in calls)
+
+
+class TestPolishCost:
+    def test_one_kernel_call_and_one_softmax_per_point(self, monkeypatch):
+        # SLSQP asks for value, gradient and constraint at the same y; each
+        # distinct y of a polish costs one softmax and one generator call.
+        # Beyond those, each polish scores its seed and re-scores its result
+        # (once more when that is bisected back onto the level), and takes
+        # the softmax of its result
+        counts = {"kernel": 0, "softmax": 0}
+        distinct = []                   # distinct y of each polish
+        real_rows = sobolev.generator_rows
+        real_softmax = sobolev._softmax_point
+        real_minimize = sobolev.minimize
+
+        def rows(*args):
+            counts["kernel"] += 1
+            return real_rows(*args)
+
+        def softmax(y):
+            counts["softmax"] += 1
+            return real_softmax(y)
+
+        def recording(fun, x0, **kwargs):
+            seen = set()
+
+            def spy(f):
+                def call(y):
+                    seen.add(y.tobytes())
+                    return f(y)
+                return call
+
+            kwargs["jac"] = spy(kwargs["jac"])
+            kwargs["constraints"] = [
+                {**con, "fun": spy(con["fun"]), "jac": spy(con["jac"])}
+                for con in kwargs["constraints"]]
+            res = real_minimize(spy(fun), x0, **kwargs)
+            distinct.append(len(seen))
+            return res
+
+        # semigroup's own name too, which dirichlet_rows calls
+        monkeypatch.setattr(semigroup, "generator_rows", rows)
+        monkeypatch.setattr(sobolev, "generator_rows", rows)
+        monkeypatch.setattr(sobolev, "_softmax_point", softmax)
+        monkeypatch.setattr(sobolev, "minimize", recording)
+        xi_pq_n(binary_semigroup(), 1, 2, 2, 0.3)
+        runs, points = len(distinct), sum(distinct)
+        assert runs >= 1 and points >= 10 * runs
+        assert counts["kernel"] <= points + 3 * runs
+        assert counts["softmax"] <= points + runs
 
 
 def bern(y):
