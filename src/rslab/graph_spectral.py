@@ -36,7 +36,6 @@ from itertools import combinations
 import numpy as np
 
 from .semigroup import Semigroup, validate_semigroup
-from .sobolev import SampledCurve
 
 INF = float("inf")
 
@@ -327,12 +326,12 @@ def faber_krahn_exact(G: Graph, n: int, q, m: int) -> FaberKrahnResult:
     return FaberKrahnResult(best, wit)
 
 
-def faber_krahn_bound(d: int, q, conv_curve: SampledCurve, n: int,
-                      m: int) -> float:
+def faber_krahn_bound(d: int, q, conv_curve, n: int, m: int) -> float:
     """Curve upper bound n(d - (q-1) conv Xi_q(alpha )), alpha from (|V|, m).
 
-    The curve must come from the chain generated by L = A - dI on the base
-    graph (uniform law), so |V| is read off the curve's alphabet size.
+    The curve, a `sobolev.SampledCurve`, must come from the chain generated
+    by L = A - dI on the base graph (uniform law), so |V| is read off the
+    curve's alphabet size.
     """
     if q <= 1:
         raise GraphError("bound defined for q > 1")

@@ -15,23 +15,25 @@ and the n-letter two-parameter version
     xi_pq_n(alpha) = inf { (1/((q-1) n)) E_n(D^{1/q}, D^{1/q'}) :
                            (1/n) D_{p/q}(Q || pi^n) >= alpha }.
 
-Reported values are best-found upper bounds on the infimum. Under a
-constraint, the starts are the points where the rays from pi toward the
+Under a constraint, reported values are best-found upper bounds on the
+infimum. The starts are the points where the rays from pi toward the
 barycenters of the simplex's proper faces (every face on up to four states,
 the corners beyond) cross the constraint boundary, found by bisection
 (convexity of the divergence in Q makes each ray cross it exactly once).
 Each is polished by SLSQP with the divergence constraint as an inequality;
-xi_q at q > 0 is xi_pq_n at p = q, n = 1. The p = 0 support faces, where the
-objective is convex, get one polish without a constraint from pi restricted
-to the face.
+xi_q at q > 0 is xi_pq_n at p = q, n = 1.
+
+At p = 0 the constraint only bounds the support. With pi uniform each
+support face is then an exact q-radius problem, solved by the certified
+loop `graph_spectral._fixed_point_radius`: no search, and no SLSQP.
 
 Objective and constraint are invariant under every permutation of X^n that
 preserves L_n and pi^n; `semigroup.automorphisms` gives the group
 Aut(L, pi) wr S_n. The two enumerators search one member per orbit, under
-different groups. Support faces are reduced by the whole group: each face
-problem is convex, so every face of an orbit has the same minimum. Rays are
-reduced only by the stabilizer of state N - 1, and only on orbits where it
-acts freely. The polish runs in y = ln(Q/Q_last), and SLSQP is not
+different groups. Support faces are reduced by the whole group, which maps
+each face onto one of equal minimum. Rays are reduced only by the
+stabilizer of state N - 1, and only on orbits where it acts freely. The
+polish runs in y = ln(Q/Q_last), and SLSQP is not
 equivariant under a change of that reference state; the stabilizer only
 permutes the y coordinates. A ray fixed by a nontrivial symmetry starts on
 that symmetry's fixed subspace, which the polish leaves only by rounding,
@@ -70,6 +72,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .entropy import _logsumexp, renyi_divergence, renyi_grad, renyi_rows
+from .graph_spectral import _fixed_point_radius
 from .semigroup import (
     ENUMERATION_BUDGET,
     NonnegFunction,
@@ -402,75 +405,44 @@ def _softmax_point(y):
     return w / w.sum()
 
 
-def _y_gradient(h, P, face):
-    """Gradient in y of a function F of Q = embed(P), P = softmax(y, 0), from
-    h = Q * grad_Q F over X^n: (h - P sum h) on the face, last coordinate
-    dropped (face None is the whole simplex)."""
-    h = h if face is None else h[face]
-    return (h - P * h.sum())[:-1]
+def _y_gradient(h, Q):
+    """Gradient in y of a function F of Q = softmax(y, 0), from
+    h = Q * grad_Q F: h - Q sum h, last coordinate dropped."""
+    return (h - Q * h.sum())[:-1]
 
 
-def _optimize_density(S, n, q, pin, constraint, level, face=None):
-    """Shared pipeline: seeds, then an SLSQP polish of each.
+def _optimize_density(S, n, q, pin, constraint, level):
+    """Seeds, then an SLSQP polish of each.
 
-    Minimizes over distributions Q on X^n; pin is pi_product(S, n). Either
-    constraint is a pair (rows, grad), rows(Qs) evaluating it per row of Qs
-    and grad(Q) giving h = Q * (its gradient in Q) at one Q, and Q ranges
-    over the whole simplex with rows(Q) >= level; or constraint is None and
-    Q ranges over the distributions supported on `face` (an index array), at
-    q > 1.
+    Minimizes the objective over distributions Q on X^n with rows(Q) >=
+    level; pin is pi_product(S, n), and constraint is a pair (rows, grad),
+    rows(Qs) evaluating it per row of Qs and grad(Q) giving
+    h = Q * (its gradient in Q) at one Q.
 
-    Under a constraint the seeds are the points where the rays from pi
-    toward the face barycenters (up to four states) or the corners cross the
-    level (`_ray_seeds`); they are the only global layer. The rays are
-    reduced by the symmetries of the chain that fix state N - 1, not by all
-    of them: the polish below runs in y = ln(Q/Q_last), SLSQP is not
-    equivariant under a change of that reference state, and the symmetries
-    that fix it only permute the y coordinates. On a face the
-    objective is convex (see xi_pq_n), so the one seed is pi restricted to
-    the face and normalized. Each seed is polished by SLSQP with exact
-    gradients, with the divergence constraint as an inequality, over
-    log-mass ratios y in [-700, 700]^{k-1} with Q = softmax(y, 0) on the k
-    states searched, so the simplex needs no constraint. A polished point
-    that misses the level is bisected back onto it. Seeds and polished points
-    alike are scored by the barrier objective (inf unless the constraint
-    holds to 1e-13), so no infeasible point is reported and no result is
-    worse than its seed. A one-state face is scored directly.
+    The seeds are the points where the rays from pi toward the face
+    barycenters (up to four states) or the corners cross the level
+    (`_ray_seeds`); they are the only global layer, reduced by the
+    symmetries that fix state N - 1 (see the module docstring). Each seed is
+    polished by SLSQP with exact gradients, with the divergence constraint as an inequality, over
+    log-mass ratios y in [-700, 700]^{N-1} with Q = softmax(y, 0), so the
+    simplex needs no constraint. A polished point that misses the level is
+    bisected back onto it. Seeds and polished points alike are scored by
+    the barrier objective (inf unless the constraint holds to 1e-13), so no
+    infeasible point is reported and no result is worse than its seed.
     """
     N = S.nstates ** n
-    constraint_rows, constraint_grad = constraint or (None, None)
+    constraint_rows, constraint_grad = constraint
 
-    def embed(P):
-        """A point of the face as a point of X^n."""
-        if face is None:
-            return P
-        Q = np.zeros(N)
-        Q[face] = P
-        return Q
-
-    if face is None:
-        k, origin = N, pin
-    else:
-        k, origin = len(face), pin[face] / pin[face].sum()
-
-    def full_objective(P):
-        Q = embed(P)
-        if (constraint_rows is not None
-                and not constraint_rows(Q[None, :])[0] >= level - 1e-13):
+    def full_objective(Q):
+        if not constraint_rows(Q[None, :])[0] >= level - 1e-13:
             return INF
         return _objective(S, n, q, Q, pin)
 
-    if k == 1:
-        return full_objective(np.ones(1)), embed(np.ones(1))
+    perms = automorphisms(S, n)
+    seeds = _ray_seeds(pin, constraint_rows, level,
+                       perms[perms[:, -1] == N - 1])[:MULTISTART]
 
-    if constraint_rows is None:
-        seeds = [origin]
-    else:
-        perms = automorphisms(S, n)
-        seeds = _ray_seeds(origin, constraint_rows, level,
-                           perms[perms[:, -1] == N - 1])[:MULTISTART]
-
-    # polish over log-mass ratios y_i = ln(Q_i / Q_k): optima often sit on
+    # polish over log-mass ratios y_i = ln(Q_i / Q_N): optima often sit on
     # a face (q > 1) or within 1e-10 of one (q <= 1), where the powers of Q
     # in objective and constraint have infinite slope in Q but not in y
     def polish_problem():
@@ -483,31 +455,28 @@ def _optimize_density(S, n, q, pin, constraint, level, face=None):
         def at(y):
             key = y.tobytes()
             if key not in points:
-                P = _softmax_point(y)
-                Q = embed(P)
-                points[key] = (P, Q) + _objective(S, n, q, Q, pin, grad=True)
+                Q = _softmax_point(y)
+                points[key] = (Q,) + _objective(S, n, q, Q, pin, grad=True)
             return points[key]
 
         def fun(y):
-            return at(y)[2]
+            return at(y)[1]
 
         def jac(y):
-            P, _, _, h = at(y)
-            return _y_gradient(h, P, face)
+            Q, _, h = at(y)
+            return _y_gradient(h, Q)
 
         def constraint(y):
-            return constraint_rows(at(y)[1][None, :])[0] - level
+            return constraint_rows(at(y)[0][None, :])[0] - level
 
         def constraint_jac(y):
-            P, Q, _, _ = at(y)
-            return _y_gradient(constraint_grad(Q), P, face)
+            Q = at(y)[0]
+            return _y_gradient(constraint_grad(Q), Q)
 
-        constraints = ([] if constraint_rows is None else
-                       [{"type": "ineq", "fun": constraint,
-                         "jac": constraint_jac}])
-        return fun, jac, constraints
+        return fun, jac, [{"type": "ineq", "fun": constraint,
+                           "jac": constraint_jac}]
 
-    bounds = [(-700.0, 700.0)] * (k - 1)
+    bounds = [(-700.0, 700.0)] * (N - 1)
     candidates = []
     for s in seeds:
         ls = np.log(np.maximum(s, 1e-300))
@@ -515,24 +484,24 @@ def _optimize_density(S, n, q, pin, constraint, level, face=None):
         res = minimize(fun, ls[:-1] - ls[-1], method="SLSQP", jac=jac,
                        bounds=bounds, constraints=constraints,
                        options={"ftol": 1e-15, "maxiter": 200})
-        P = _softmax_point(res.x)
-        v = full_objective(P)
+        Q = _softmax_point(res.x)
+        v = full_objective(Q)
         if not np.isfinite(v):
             # SLSQP can stop just outside the level set (1e-11 seen); the
             # divergence grows from Q toward the corner of the largest Q/pi
-            corner = np.eye(k)[np.argmax(P / pin)]
+            corner = np.eye(N)[np.argmax(Q / pin)]
             if constraint_rows(corner[None, :])[0] >= level:
-                P = _level_crossing(P, corner, constraint_rows, level)[0]
-                v = full_objective(P)
-        for c in ((full_objective(s), s), (v, P)):
+                Q = _level_crossing(Q, corner, constraint_rows, level)[0]
+                v = full_objective(Q)
+        for c in ((full_objective(s), s), (v, Q)):
             if np.isfinite(c[0]):
                 candidates.append(c)
 
     if not candidates:
         raise SobolevError("no feasible point found; constraint level too high")
     vbest = min(c[0] for c in candidates)
-    Pbest = next(c[1] for c in candidates if c[0] == vbest)
-    return vbest, embed(Pbest)
+    Qbest = next(c[1] for c in candidates if c[0] == vbest)
+    return vbest, Qbest
 
 
 def xi_q(S: Semigroup, q, alpha, return_witness=False):
@@ -596,19 +565,47 @@ def _support_masks(N, max_mass, pin):
     return member[np.lexsort((bits, -member.sum(axis=1)))]
 
 
+def _face_minimum(Ln, face, q):
+    """Minimum of the p = 0 objective over distributions Q on `face`, and a
+    minimizer on X^n; pi is uniform and Ln is the dense n-letter generator.
+
+    With u = Q^{1/q}, w = Q^{1/q'}, c the largest degree on the face and
+    M = L_face + cI >= 0, the objective is (c - u M w)/(q-1), so its minimum
+    is (c - rho_q(M))/(q-1). The form is 1-homogeneous in the mass of each
+    connected block of M, so each block gets its own q-radius loop: on the
+    whole face that loop moves mass between blocks whose radii nearly tie
+    too slowly to close its bracket within its cap.
+    """
+    L = Ln[np.ix_(face, face)]
+    c = -float(np.diag(L).min())
+    # least vertex reachable from each vertex: the label of its block
+    roots = np.linalg.matrix_power((L != 0) | np.eye(face.size, dtype=bool),
+                                   face.size).argmax(axis=1)
+    best = (INF, None)
+    for r in np.unique(roots):
+        block = face[roots == r]
+        s, u = _fixed_point_radius(Ln[np.ix_(block, block)]
+                                   + c * np.eye(block.size), q)
+        val = (c - s) / (q - 1.0)
+        if val < best[0]:
+            Q = np.zeros(Ln.shape[0])
+            Q[block] = u ** q
+            best = (val, Q / Q.sum())
+    return best
+
+
 def xi_pq_n(S: Semigroup, p, q, n, alpha, return_witness=False):
-    """n-letter two-parameter curve value (best-found upper bound).
+    """n-letter two-parameter curve value.
 
     The density characterization turns the functional problem into one over
     distributions Q on X^n: constraint (1/n) D_{p/q}(Q || pi^n) >= alpha,
-    objective (1/((q-1) n)) E_n(D^{1/q}, D^{1/q'}) with D = Q/pi^n. For p = 0
-    the constraint only restricts the support mass, so supports are enumerated
-    and each maximal face is optimized without constraint (q > 1 only: the
-    limit objectives blow up on proper faces). There the objective is
-    convex: it is (1/(q-1)) [sum_x deg_x Q_x - sum_{x != y} pi_x L_xy
-    (Q_x/pi_x)^{1/q} (Q_y/pi_y)^{1/q'}], a linear term minus nonnegative
-    multiples of weighted geometric means (exponents summing to one, so
-    concave), so one polish per face from its own law suffices.
+    objective (1/((q-1) n)) E_n(D^{1/q}, D^{1/q'}) with D = Q/pi^n. For p > 0
+    the value is a best-found upper bound (`_optimize_density`). For p = 0
+    the constraint only bounds the support mass by e^{-n alpha}: the maximal
+    supports are enumerated (q > 1 only: the limit objectives blow up on
+    proper faces), and with pi uniform each face minimum is an exact
+    q-radius problem (`_face_minimum`), certified to RADIUS_RTOL or raising
+    ConvergenceError.
     """
     if q < 0 or np.isinf(q):
         raise SobolevError("order q must be finite and nonnegative")
@@ -631,14 +628,15 @@ def xi_pq_n(S: Semigroup, p, q, n, alpha, return_witness=False):
             raise SobolevError("support-constrained route requires q > 1")
         if N > 16:
             raise SobolevError("support enumeration capped at |X|^n <= 16")
-        # the support fixes the level, so each face is optimized without
-        # constraint. Every symmetry of the chain maps a face problem onto
-        # an equal convex one, so one face per orbit of the whole group is
-        # polished; among those, the first face of least value wins ties
+        if np.any(S.stationary != S.stationary[0]):
+            raise SobolevError("support route requires a uniform pi")
+        # every symmetry of the chain maps a face problem onto an equal
+        # one, so one face per orbit of the whole group is solved; among
+        # those, the first face of least value wins ties
+        Ln = generator_rows(S, np.eye(N), n)
         member = _support_masks(N, math.exp(-n * alpha), pin)
         images = member @ np.exp2(automorphisms(S, n).T)   # image bitmasks
-        val, Q = min((_optimize_density(S, n, q, pin, None, None,
-                                        face=np.flatnonzero(member[i]))
+        val, Q = min((_face_minimum(Ln, np.flatnonzero(member[i]), q)
                       for i in _orbit_firsts(images)),
                      key=lambda c: c[0])
         val = val / n

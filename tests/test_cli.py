@@ -305,12 +305,16 @@ class TestExitCodes:
 
     def test_radius_cap_maps_to_two(self, monkeypatch):
         # the path inside C5 is not regular, so one step cannot close the
-        # bracket
+        # bracket; nor can it on the 3-state path faces of K2^2 that the
+        # p = 0 route solves at alpha = 0.1
         monkeypatch.setattr(graph_spectral, "RADIUS_MAXITER", 1)
-        rc, _, err = run_cli(["qradius", "--graph", "cycle", "5", "--q", "2",
-                              "--subset", "0", "1", "2"])
-        assert rc == 2
-        assert "numerical failure" in err
+        for argv in (["qradius", "--graph", "cycle", "5", "--q", "2",
+                      "--subset", "0", "1", "2"],
+                     ["xi", "--binary", "--q", "2", "--p", "0", "--n", "2",
+                      "--alpha", "0.1"]):
+            rc, _, err = run_cli(argv)
+            assert rc == 2
+            assert "numerical failure" in err
 
     def test_inversion_cap_maps_to_two(self, monkeypatch):
         monkeypatch.setattr(concentration, "INVERSE_MAXITER", 1)

@@ -1,13 +1,16 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.optimize import minimize_scalar
 
 from rslab import semigroup, sobolev
 from rslab.entropy import renyi_grad, renyi_rows
+from rslab.graph_spectral import ConvergenceError, _fixed_point_radius
 from rslab.semigroup import (
     Semigroup,
     binary_semigroup,
@@ -430,6 +433,66 @@ class TestXiPqN:
             for q, best in oracle.items():
                 assert xi_pq_n(S, 0, q, n, alpha) * n <= best + 1e-12
 
+    @pytest.mark.parametrize("q", [1.25, 1.5, 3, 5])
+    def test_support_route_two_state_face_oracle(self, q):
+        # At q != 2 the support route and the Faber-Krahn search share the
+        # q-radius loop; this oracle shares nothing with it. At n = 1 and
+        # alpha = 0.3 the maximal faces of WEIGHTED3 are its three pairs,
+        # and on each the objective of Q = (t, 1 - t) is convex in t
+        S = validate_semigroup(WEIGHTED3)
+        pin = S.stationary
+        qp = q / (q - 1.0)
+
+        def face_value(face, t):
+            Q = np.zeros(3)
+            Q[list(face)] = t, 1.0 - t
+            D = (Q / pin)[None, :]
+            return dirichlet_rows(S, D ** (1.0 / q), D ** (1.0 / qp), 1,
+                                  pin)[0] / (q - 1.0)
+
+        best = min(
+            minimize_scalar(lambda t: face_value(face, t), bounds=(0, 1),
+                            method="bounded", options={"xatol": 1e-12}).fun
+            for face in combinations(range(3), 2))
+        assert xi_pq_n(S, 0, q, 1, 0.3) == pytest.approx(best, rel=1e-10)
+
+    def test_support_route_makes_no_slsqp_call(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the p = 0 route must not call minimize")
+
+        monkeypatch.setattr(sobolev, "minimize", refuse)
+        for S, n, alpha in ((binary_semigroup(), 2, 0.2),
+                            (validate_semigroup(WEIGHTED3), 2, 0.05),
+                            (three_state_chain(), 2, 0.5)):
+            for q in (1.5, 2, 3):
+                assert np.isfinite(xi_pq_n(S, 0, q, n, alpha))
+
+    def test_support_faces_split_into_connected_blocks(self):
+        # At alpha = ln 2 the supports hold 4 of the 16 states. On the face
+        # {1, 4, 6, 11}, shifted by its largest degree c = 7.74, state 1
+        # alone has q-radius 3.18 and the pair {4, 6} 3.1845: the q-radius
+        # loop on the whole face has to move mass between those blocks and
+        # runs out of steps, while each block alone closes its bracket. The
+        # values are the earlier SLSQP polish's
+        A = np.array([[0, .13, .08, 1.64], [.13, 0, 1.47, 1.11],
+                      [.08, 1.47, 0, 1.72], [1.64, 1.11, 1.72, 0]])
+        S = laplacian_chain(A)
+        for q, want in ((2, 0.925), (1.5, 1.85), (3, 0.4625)):
+            assert xi_pq_n(S, 0, q, 2, LN2) == pytest.approx(want, abs=1e-12)
+
+        face = np.array([1, 4, 6, 11])
+        L = semigroup.generator_rows(S, np.eye(16), 2)[np.ix_(face, face)]
+        with pytest.raises(ConvergenceError):
+            _fixed_point_radius(L - np.diag(L).min() * np.eye(4), 2)
+
+    def test_support_route_requires_uniform_pi(self):
+        # built directly, not by validate_semigroup: a reversible chain
+        # whose stationary law is not uniform
+        S = Semigroup(np.array([[-0.8, 0.8], [0.2, -0.2]]),
+                      np.array([0.2, 0.8]))
+        with pytest.raises(SobolevError, match="uniform"):
+            xi_pq_n(S, 0, 2, 1, 0.5)
+
     @pytest.mark.parametrize("N,weighted", [(4, False), (8, False),
                                             (9, True), (12, True)])
     def test_support_masks_match_brute_force(self, N, weighted):
@@ -613,29 +676,6 @@ class TestExactGradients:
             log_central_differences(
                 lambda R: _logvar_rows(R, pin, logpin)[0], Q))
 
-    def test_y_gradient_on_a_proper_face(self):
-        S = validate_semigroup(WEIGHTED3)
-        n = 2
-        pin = pi_product(S, n)
-        logpin = np.log(pin)
-        face = np.array([0, 2, 3, 5, 7])
-        y = np.random.default_rng(3).uniform(-2, 2, face.size - 1)
-
-        def embed(P):
-            Q = np.zeros(pin.size)
-            Q[face] = P
-            return Q
-
-        for F, grad in (
-                (objective(S, n, 2.5, pin),
-                 lambda Q: _objective(S, n, 2.5, Q, pin, grad=True)[1]),
-                (lambda Q: renyi_rows(Q, pin, logpin, 0.75)[0],
-                 lambda Q: renyi_grad(Q, pin, logpin, 0.75))):
-            P = _softmax_point(y)
-            assert_close_relative(
-                _y_gradient(grad(embed(P)), P, face),
-                central_differences(lambda z: F(embed(_softmax_point(z))), y))
-
     def test_y_gradient_finite_where_softmax_underflows(self):
         S = three_state_chain()
         pin = S.stationary
@@ -645,12 +685,11 @@ class TestExactGradients:
         for h in (_objective(S, 1, 2, P, pin, grad=True)[1],
                   renyi_grad(P, pin, logpin, 1.0),
                   renyi_grad(P, pin, logpin, 1.5)):
-            assert np.all(np.isfinite(_y_gradient(h, P, None)))
+            assert np.all(np.isfinite(_y_gradient(h, P)))
 
 
 class TestPolishGradients:
-    @pytest.mark.parametrize("route", ["xi_q-q0", "xi_q-q2", "xi_pq_n",
-                                       "support"])
+    @pytest.mark.parametrize("route", ["xi_q-q0", "xi_q-q2", "xi_pq_n"])
     def test_every_polish_gets_exact_jacobians(self, monkeypatch, route):
         # a later edit must not fall back to finite differences in silence
         calls = []
@@ -666,10 +705,8 @@ class TestPolishGradients:
             xi_q(three_state_chain(), 0, 0.3)
         elif route == "xi_q-q2":
             xi_q(three_state_chain(), 2, 0.3)
-        elif route == "xi_pq_n":
-            xi_pq_n(S, 1.5, 2, 2, 0.3)
         else:
-            xi_pq_n(S, 0, 2, 2, 0.2)
+            xi_pq_n(S, 1.5, 2, 2, 0.3)
         assert calls
         for fun, x0, kwargs in calls:
             assert callable(kwargs.get("jac"))
@@ -680,8 +717,7 @@ class TestPolishGradients:
                 (con["fun"], con["jac"]) for con in kwargs["constraints"]]
             for f, jac in pairs:
                 assert_close_relative(jac(x0), central_differences(f, x0))
-        if route != "support":
-            assert all(kwargs["constraints"] for _, _, kwargs in calls)
+        assert all(kwargs["constraints"] for _, _, kwargs in calls)
 
 
 class TestPolishCost:
