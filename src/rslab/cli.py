@@ -15,7 +15,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,53 +38,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_NUMERICAL = 2
 EXIT_VERIFY = 3
-
-LN2 = math.log(2.0)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated run parameters for one subcommand invocation."""
-
-    subcommand: str
-    binary: bool = False
-    generator: str = None
-    graph: tuple = ()
-    subset: tuple = None
-    q: float = None
-    p: float = None
-    n: int = 1
-    m: int = None
-    r: tuple = ()
-    alpha: float = None
-    grid: int = 64
-    eps: float = 0.1
-    lam: float = 1.0
-    beta: float = None
-    z: int = None
-    variant: str = None
-    family: str = None
-    conv: bool = False
-    bound: bool = False
-    Q: tuple = None
-    R: tuple = None
-    seed: int = 0
-    out: str = None
-    fmt: str = "csv"
-
-    def __post_init__(self):
-        if self.fmt not in ("csv", "json"):
-            raise ValueError(f"unknown output format {self.fmt!r}")
-        if self.grid < 2:
-            raise ValueError("grid size must be >= 2")
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-        if self.m is not None and self.m < 1:
-            raise ValueError("m must be >= 1")
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
-        if not (0.0 <= self.lam <= 1.0):
-            raise ValueError("lam must lie in [0, 1]")
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +66,7 @@ def _jsonable(x):
     return x
 
 
-def emit(cfg: RunConfig, columns, rows):
+def emit(cfg, columns, rows):
     """Render rows to CSV or JSON, to --out or stdout."""
     meta = {"seed": cfg.seed, "subcommand": cfg.subcommand}
     if cfg.fmt == "json":
@@ -146,8 +98,6 @@ def graph_from_tokens(tokens, n: int) -> Graph:
     'complete K' / 'cycle K' take a size token, 'hypercube' takes its
     dimension from --n, and a single other token is read as a file path.
     """
-    if not tokens:
-        raise ValueError("missing --graph specification")
     kind = tokens[0]
     if kind in ("complete", "cycle"):
         if len(tokens) != 2:
@@ -163,14 +113,11 @@ def graph_from_tokens(tokens, n: int) -> Graph:
     raise ValueError(f"unrecognized graph spec {' '.join(tokens)!r}")
 
 
-def semigroup_from_config(cfg: RunConfig):
-    if cfg.binary and cfg.generator:
-        raise ValueError("--binary and --generator are mutually exclusive")
+def semigroup_from_args(cfg):
+    # the parser makes exactly one of --binary and --generator present
     if cfg.binary:
         return binary_semigroup()
-    if cfg.generator:
-        return validate_semigroup(load_generator(cfg.generator))
-    raise ValueError("need --binary or --generator")
+    return validate_semigroup(load_generator(cfg.generator))
 
 
 # ---------------------------------------------------------------------------
@@ -180,13 +127,13 @@ def semigroup_from_config(cfg: RunConfig):
 XI_COLUMNS = ("alpha", "value", "kind", "q", "p", "n")
 
 
-def cmd_xi(cfg: RunConfig) -> int:
-    if cfg.q is None or cfg.q < 0 or np.isinf(cfg.q):
+def cmd_xi(cfg) -> int:
+    if cfg.q < 0 or np.isinf(cfg.q):
         raise ValueError("xi requires a finite order --q >= 0")
     two_param = cfg.p is not None
     # the closed form covers the plain binary curve; anything else runs
     # through a semigroup
-    S = semigroup_from_config(cfg) if (two_param or not cfg.binary) else None
+    S = semigroup_from_args(cfg) if (two_param or not cfg.binary) else None
 
     if cfg.alpha is not None:
         # single-value mode
@@ -222,9 +169,7 @@ def cmd_xi(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_qradius(cfg: RunConfig) -> int:
-    if cfg.q is None:
-        raise ValueError("qradius requires --q (use 'inf' for the sup norm)")
+def cmd_qradius(cfg) -> int:
     G = graph_from_tokens(cfg.graph, cfg.n)
     label = " ".join(str(t) for t in cfg.graph)
     if cfg.subset:
@@ -237,12 +182,10 @@ def cmd_qradius(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_faber_krahn(cfg: RunConfig) -> int:
-    if cfg.q is None or cfg.m is None:
-        raise ValueError("faber-krahn requires --q and --m")
+def cmd_faber_krahn(cfg) -> int:
     # 'hypercube' here means the n-fold power of an edge, so the search
     # space is the Hamming cube of dimension --n over the 2-letter base
-    if cfg.graph and cfg.graph[0] == "hypercube":
+    if cfg.graph[0] == "hypercube":
         base = complete_graph(2)
     else:
         base = graph_from_tokens(cfg.graph, cfg.n)
@@ -264,11 +207,7 @@ CONC_COLUMNS = ("family", "n", "p", "r", "q_star", "log_bound", "bound",
                 "baseline", "quad_error", "saturated")
 
 
-def cmd_concentration(cfg: RunConfig) -> int:
-    if cfg.family not in ("gaussian", "binary"):
-        raise ValueError("--family must be 'gaussian' or 'binary'")
-    if cfg.p is None or not cfg.r:
-        raise ValueError("concentration requires --p and --r")
+def cmd_concentration(cfg) -> int:
     rows = []
     for r in cfg.r:
         if cfg.family == "gaussian":
@@ -286,12 +225,8 @@ def cmd_concentration(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_extremal(cfg: RunConfig) -> int:
-    if cfg.variant is None:
-        raise ValueError("extremal requires --variant")
-    if cfg.p is None or cfg.q is None:
-        raise ValueError("extremal requires --p and --q")
-    S = semigroup_from_config(cfg)
+def cmd_extremal(cfg) -> int:
+    S = semigroup_from_args(cfg)
     Q = np.asarray(cfg.Q, dtype=float) if cfg.Q else None
     R = np.asarray(cfg.R, dtype=float) if cfg.R else None
     spec = ExtremalSpec(cfg.variant, cfg.n, eps=cfg.eps, Q=Q, R=R,
@@ -422,7 +357,7 @@ def _verify_checks(seed):
     ]
 
 
-def cmd_verify(cfg: RunConfig) -> int:
+def cmd_verify(cfg) -> int:
     checks = _verify_checks(cfg.seed)
     passed = 0
     for name, fn in checks:
@@ -442,11 +377,23 @@ def cmd_verify(cfg: RunConfig) -> int:
 # argument parsing
 
 
+def _int_at_least(lo):
+    """argparse type: an integer >= lo, else a usage error (exit 1)."""
+    def parse(text):
+        v = int(text)
+        if v < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {v}")
+        return v
+    parse.__name__ = "int"      # argparse's "invalid int value" names it
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="rslab",
         description="Sobolev-type curves, q-radii, small-support extremal "
                     "subgraphs, and concentration bounds on product chains.")
+    count, grid_size = _int_at_least(1), _int_at_least(2)
     sub = top.add_subparsers(dest="subcommand", required=True)
 
     def common(p):
@@ -462,9 +409,9 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--generator", help="generator matrix file")
     p.add_argument("--q", type=float, required=True)
     p.add_argument("--p", type=float, help="two-parameter curve order")
-    p.add_argument("--n", type=int, default=1, help="product length")
+    p.add_argument("--n", type=count, default=1, help="product length")
     p.add_argument("--alpha", type=float, help="single value at this level")
-    p.add_argument("--grid", type=int, default=64)
+    p.add_argument("--grid", type=grid_size, default=64)
     p.add_argument("--conv", action="store_true",
                    help="emit the convex envelope")
     common(p)
@@ -475,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "or a file path")
     p.add_argument("--q", type=float, required=True,
                    help="order in [1, inf]; 'inf' accepted")
-    p.add_argument("--n", type=int, default=1, help="hypercube dimension")
+    p.add_argument("--n", type=count, default=1, help="hypercube dimension")
     p.add_argument("--subset", nargs="+", type=int,
                    help="restrict to the induced subgraph on these vertices")
     common(p)
@@ -484,12 +431,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="extremal small-support subgraph of a power")
     p.add_argument("--graph", nargs="+", required=True,
                    help="base graph; 'hypercube' means an edge to the power n")
-    p.add_argument("--n", type=int, default=1, help="power / dimension")
+    p.add_argument("--n", type=count, default=1, help="power / dimension")
     p.add_argument("--q", type=float, required=True)
-    p.add_argument("--m", type=int, required=True, help="support size")
+    p.add_argument("--m", type=count, required=True, help="support size")
     p.add_argument("--bound", action="store_true",
                    help="also report the curve upper bound")
-    p.add_argument("--grid", type=int, default=64,
+    p.add_argument("--grid", type=grid_size, default=64,
                    help="curve grid size for --bound")
     common(p)
 
@@ -499,16 +446,16 @@ def build_parser() -> argparse.ArgumentParser:
                    help="starting order (0 for the measure itself)")
     p.add_argument("--r", type=float, nargs="+", required=True,
                    help="one or more deviation levels")
-    p.add_argument("--n", type=int, default=1,
+    p.add_argument("--n", type=count, default=1,
                    help="cube dimension (binary family)")
-    p.add_argument("--grid", type=int, default=64,
+    p.add_argument("--grid", type=grid_size, default=64,
                    help="order grid for the binary optimization")
     common(p)
 
     p = sub.add_parser("extremal", help="near-extremal density reports")
     p.add_argument("--variant", required=True,
                    choices=("conditional-typical", "product", "dirac-mixture"))
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=count, required=True)
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--q", type=float, required=True)
     src = p.add_mutually_exclusive_group(required=True)
@@ -540,16 +487,6 @@ DISPATCH = {
 }
 
 
-def config_from_args(args) -> RunConfig:
-    d = vars(args).copy()
-    for key in ("graph", "subset", "r", "Q", "R"):
-        if d.get(key) is not None:
-            d[key] = tuple(d[key])
-    defaults = {f.name for f in RunConfig.__dataclass_fields__.values()}
-    return RunConfig(**{k: v for k, v in d.items()
-                        if k in defaults and v is not None})
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -558,8 +495,7 @@ def main(argv=None) -> int:
         # argparse exits 2 on bad usage and 0 on --help; remap the former
         return EXIT_OK if exc.code == 0 else EXIT_VALIDATION
     try:
-        cfg = config_from_args(args)
-        return DISPATCH[cfg.subcommand](cfg)
+        return DISPATCH[args.subcommand](args)
     except (QuadratureError, InversionError, ConvergenceError,
             FloatingPointError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

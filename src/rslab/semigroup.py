@@ -152,6 +152,8 @@ def heat_operator(S: Semigroup, t: float) -> np.ndarray:
 
 def pi_product(S: Semigroup, n: int) -> np.ndarray:
     """Product stationary distribution pi^n over X^n (lexicographic)."""
+    if n < 1:
+        raise SemigroupError("n must be >= 1")
     if S.nstates ** n > ENUMERATION_BUDGET:
         raise SemigroupError("product space exceeds enumeration budget")
     return reduce(np.kron, [S.stationary] * n)

@@ -538,31 +538,17 @@ def sample_xi_curve(S, q, size=64):
 
 
 def _support_masks(N, max_mass, pin):
-    """Maximal support subsets with pi-mass <= max_mass, as the rows of a
-    boolean (faces, N) membership matrix: largest first, and in increasing
-    bitmask order within a size."""
-    mass = np.zeros(1 << N)
-    for i in range(N - 1, -1, -1):
-        # masks whose lowest bit is i: their mass adds pin[i] last
-        b = np.arange(1 << i, 1 << N, 2 << i)
-        mass[b] = mass[b ^ (1 << i)] + pin[i]
-    ok = mass <= max_mass + 1e-12
-    ok[0] = False
-    bits = np.flatnonzero(ok)
-    if len(bits) > 4096:
+    """Maximal supports of pi-mass <= max_mass for a uniform pi, as the rows
+    of a boolean (faces, N) membership matrix in increasing bitmask order:
+    every m-subset of the N states, m the most states that fit."""
+    m = int(np.count_nonzero(np.cumsum(pin) <= max_mass + 1e-12))
+    # the cap counts every admissible subset, not only the maximal ones
+    if sum(math.comb(N, k) for k in range(1, m + 1)) > 4096:
         raise SobolevError("support enumeration too large at this alpha")
-    # drop non-maximal subsets: optimizing over a face covers its subfaces.
-    # under[b]: b lies in some admissible set; a mask is maximal when no
-    # one-element extension of it does
-    under, extends = ok.copy(), np.zeros_like(ok)
-    for i in range(N):
-        u = under.reshape(-1, 2, 1 << i)
-        u[:, 0] |= u[:, 1]
-    for i in range(N):
-        extends.reshape(-1, 2, 1 << i)[:, 0] |= under.reshape(-1, 2, 1 << i)[:, 1]
-    bits = bits[~extends[bits]]
-    member = (bits[:, None] >> np.arange(N)) & 1 == 1
-    return member[np.lexsort((bits, -member.sum(axis=1)))]
+    faces = combinations(range(N), m) if m else ()    # the empty set is none
+    bits = np.array(sorted(sum(1 << i for i in f) for f in faces),
+                    dtype=np.int64)
+    return (bits[:, None] >> np.arange(N)) & 1 == 1
 
 
 def _face_minimum(Ln, face, q):
@@ -601,11 +587,14 @@ def xi_pq_n(S: Semigroup, p, q, n, alpha, return_witness=False):
     distributions Q on X^n: constraint (1/n) D_{p/q}(Q || pi^n) >= alpha,
     objective (1/((q-1) n)) E_n(D^{1/q}, D^{1/q'}) with D = Q/pi^n. For p > 0
     the value is a best-found upper bound (`_optimize_density`). For p = 0
-    the constraint only bounds the support mass by e^{-n alpha}: the maximal
-    supports are enumerated (q > 1 only: the limit objectives blow up on
-    proper faces), and with pi uniform each face minimum is an exact
-    q-radius problem (`_face_minimum`), certified to RADIUS_RTOL or raising
-    ConvergenceError.
+    the constraint only bounds the support mass by e^{-n alpha}, so with pi
+    uniform the maximal supports are the m-subsets of X^n, m the most states
+    that fit (q > 1 only: the limit objectives blow up on proper faces).
+    Each face minimum is an exact q-radius problem (`_face_minimum`): the
+    q-radius loop brackets rho_q to RADIUS_RTOL relative or raises
+    ConvergenceError. The value (c - rho_q)/(q - 1) taken at the bracket's
+    lower end is an upper bound within RADIUS_RTOL rho_q/(c - rho_q)
+    relative, which can exceed RADIUS_RTOL where c - rho_q is small.
     """
     if q < 0 or np.isinf(q):
         raise SobolevError("order q must be finite and nonnegative")
@@ -613,6 +602,8 @@ def xi_pq_n(S: Semigroup, p, q, n, alpha, return_witness=False):
         raise SobolevError("n-letter route undefined at q = 0; use xi_q")
     if p < 0:
         raise SobolevError("order p must be nonnegative")
+    if n < 1:
+        raise SobolevError("n must be >= 1")
     N = S.nstates ** n
     if N > ENUMERATION_BUDGET:
         raise SobolevError("|X|^n exceeds enumeration budget")

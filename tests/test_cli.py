@@ -63,6 +63,26 @@ class TestXi:
         assert float(row["value"]) == pytest.approx(expect, abs=1e-9)
         assert row["kind"] == "xi_q"
 
+    def test_binary_single_value_is_closed_form(self):
+        rc, out, _ = run_cli(["xi", "--binary", "--q", "2", "--alpha", "0.3"])
+        assert rc == 0
+        row = parse_csv(out)[0]
+        assert float(row["value"]) == pytest.approx(binary_xi_q(2.0, 0.3),
+                                                    rel=1e-11)
+        assert (row["kind"], row["p"], row["n"]) == ("xi_q", "", "")
+
+    def test_generator_curve_matches_closed_form(self, tmp_path):
+        path = tmp_path / "gen.mat"
+        np.savetxt(path, np.array([[-0.5, 0.5], [0.5, -0.5]]))
+        rc, out, _ = run_cli(["xi", "--generator", str(path), "--q", "2",
+                              "--grid", "8"])
+        assert rc == 0
+        rows = parse_csv(out)
+        assert len(rows) == 8 and rows[0]["kind"] == "xi_q"
+        for r in rows:
+            assert float(r["value"]) == pytest.approx(
+                binary_xi_q(2.0, float(r["alpha"])), abs=1e-9)
+
     def test_conv_envelope_is_convex(self):
         rc, out, _ = run_cli(["xi", "--binary", "--q", "3", "--grid", "32",
                               "--conv"])
@@ -243,6 +263,25 @@ GOLDEN_CASES.append(("extremal_dirac_mixture_n12.csv",
 GOLDEN_CASES += [(f"xi_binary_q{q}_p0_n2_grid16.csv",
                   ["xi", "--binary", "--q", q, "--p", "0", "--n", "2",
                    "--grid", "16"]) for q in ("2", "1.5")]
+# the README's qradius, faber-krahn and concentration commands, CSV at 12
+# significant digits
+GOLDEN_CASES += [
+    ("qradius_complete4_q2.csv",
+     ["qradius", "--graph", "complete", "4", "--q", "2"]),
+    ("qradius_hypercube_n3_qinf.csv",
+     ["qradius", "--graph", "hypercube", "--n", "3", "--q", "inf"]),
+    ("qradius_cycle5_q2_subset012.csv",
+     ["qradius", "--graph", "cycle", "5", "--q", "2",
+      "--subset", "0", "1", "2"]),
+    ("faber_krahn_hypercube_n3_q2_m4.csv",
+     ["faber-krahn", "--graph", "hypercube", "--n", "3", "--q", "2",
+      "--m", "4"]),
+    ("concentration_gaussian_p0_r1.5.csv",
+     ["concentration", "--family", "gaussian", "--p", "0", "--r", "1.5"]),
+    ("concentration_binary_n10_p0_r1_2_4.csv",
+     ["concentration", "--family", "binary", "--n", "10", "--p", "0",
+      "--r", "1", "2", "4"]),
+]
 
 
 class TestGoldenOutput:
@@ -254,7 +293,40 @@ class TestGoldenOutput:
         assert out.read_bytes() == (DATA / name).read_bytes()
 
 
+XI = ["xi", "--binary", "--q", "2"]
+FK = ["faber-krahn", "--graph", "hypercube", "--n", "2", "--q", "2"]
+DIRAC = ["extremal", "--variant", "dirac-mixture", "--binary", "--p", "3",
+         "--q", "2", "--beta", "0.3"]
+# each argv is complete but for the one bad value, so that value is what
+# gets refused; --binary with --generator is test_binary_and_generator_conflict
+VALIDATION_CASES = [
+    ("xi-n0", XI + ["--p", "2", "--n", "0", "--alpha", "0.3"]),
+    ("xi-grid1", XI + ["--grid", "1"]),
+    ("qradius-n0", ["qradius", "--graph", "hypercube", "--n", "0",
+                    "--q", "2"]),
+    ("faber-krahn-m0", FK + ["--m", "0"]),
+    ("faber-krahn-bound-grid1", FK + ["--m", "2", "--bound", "--grid", "1"]),
+    ("concentration-gaussian-n0", ["concentration", "--family", "gaussian",
+                                   "--p", "0", "--r", "1", "--n", "0"]),
+    ("concentration-binary-grid1", ["concentration", "--family", "binary",
+                                    "--p", "0", "--r", "1", "--n", "4",
+                                    "--grid", "1"]),
+    ("extremal-eps0", DIRAC + ["--n", "6", "--eps", "0"]),
+    ("extremal-lam2", DIRAC + ["--n", "6", "--lam", "2"]),
+    ("extremal-n0", DIRAC + ["--n", "0"]),
+    ("xi-q-inf", ["xi", "--binary", "--q", "inf"]),
+    ("qradius-cycle-no-size", ["qradius", "--graph", "cycle", "--q", "2"]),
+]
+
+
 class TestExitCodes:
+    @pytest.mark.parametrize("argv", [c[1] for c in VALIDATION_CASES],
+                             ids=[c[0] for c in VALIDATION_CASES])
+    def test_validation_error_exits_one(self, argv):
+        rc, out, _ = run_cli(argv)
+        assert rc == 1
+        assert out == ""
+
     def test_help_exits_zero(self):
         rc, _, _ = run_cli(["--help"])
         assert rc == 0

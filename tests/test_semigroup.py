@@ -281,6 +281,10 @@ class TestHelpers:
         pin = pi_product(S, 2)
         assert np.allclose(pin, np.full(9, 1.0 / 9))
 
+    def test_pi_product_refuses_empty_product(self):
+        with pytest.raises(SemigroupError, match="n must be >= 1"):
+            pi_product(binary_semigroup(), 0)
+
     def test_as_function_infers_n(self):
         f = as_function(np.ones(8), 2)
         assert f.n == 3
