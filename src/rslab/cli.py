@@ -7,8 +7,8 @@ verify (invariant suite with a pass/fail table).
 
 Output is machine readable: CSV with one header row (preceded by a single
 '#' metadata comment) or JSON with sorted keys. The same config and seed
-produce byte-identical output. Exit codes: 0 success, 1 validation error,
-2 numerical failure, 3 verification failure.
+produce byte-identical output at a fixed BLAS thread count. Exit codes:
+0 success, 1 validation error, 2 numerical failure, 3 verification failure.
 """
 
 import argparse
@@ -30,9 +30,9 @@ from .graph_spectral import (ConvergenceError, Graph, SubgraphView,
 from .semigroup import (apply_generator, as_function, binary_semigroup,
                         derivative_check, dirichlet_form, heat_operator,
                         load_generator, pi_product, validate_semigroup)
-from .sobolev import (ExtremalSpec, alpha_grid, binary_xi_q, conv_envelope,
-                      extremal_report, lsi_constant, sample_binary_curve,
-                      sample_xi_curve, xi_pq_n, xi_q)
+from .sobolev import (ExtremalSpec, SampledCurve, alpha_grid, binary_xi_q,
+                      conv_envelope, extremal_report, lsi_constant,
+                      sample_binary_curve, sample_xi_curve, xi_pq_n, xi_q)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -130,42 +130,26 @@ XI_COLUMNS = ("alpha", "value", "kind", "q", "p", "n")
 def cmd_xi(cfg) -> int:
     if cfg.q < 0 or np.isinf(cfg.q):
         raise ValueError("xi requires a finite order --q >= 0")
-    two_param = cfg.p is not None
-    # the closed form covers the plain binary curve; anything else runs
-    # through a semigroup
-    S = semigroup_from_args(cfg) if (two_param or not cfg.binary) else None
-
-    if cfg.alpha is not None:
-        # single-value mode
-        if two_param:
-            val = xi_pq_n(S, cfg.p, cfg.q, cfg.n, cfg.alpha)
-            row = (cfg.alpha, val, "xi_pq_n", cfg.q, cfg.p, cfg.n)
-        elif cfg.binary:
-            val = binary_xi_q(cfg.q, cfg.alpha)
-            row = (cfg.alpha, val, "xi_q", cfg.q, None, None)
-        else:
-            val = xi_q(S, cfg.q, cfg.alpha)
-            row = (cfg.alpha, val, "xi_q", cfg.q, None, None)
-        emit(cfg, XI_COLUMNS, [row])
-        return EXIT_OK
-
-    # curve mode
-    if two_param:
-        grid = alpha_grid(S.stationary, cfg.grid)
-        vals = [xi_pq_n(S, cfg.p, cfg.q, cfg.n, a) for a in grid]
-        rows = [(a, v, "xi_pq_n", cfg.q, cfg.p, cfg.n)
-                for a, v in zip(grid, vals)]
-        emit(cfg, XI_COLUMNS, rows)
-        return EXIT_OK
-    if cfg.binary:
-        curve = sample_binary_curve(cfg.q, cfg.grid)
+    if cfg.conv and (cfg.p is not None or cfg.alpha is not None):
+        raise ValueError("--conv takes the envelope of a single-letter "
+                         "curve; it does not combine with --p or --alpha")
+    S = semigroup_from_args(cfg)
+    kind, p, n = "xi_q", None, None
+    if cfg.p is not None:
+        kind, p, n = "xi_pq_n", cfg.p, cfg.n
+        value = lambda a: xi_pq_n(S, p, cfg.q, n, a)
+    elif cfg.binary:
+        value = lambda a: binary_xi_q(cfg.q, a)     # exact closed form
     else:
-        curve = sample_xi_curve(S, cfg.q, cfg.grid)
+        value = lambda a: xi_q(S, cfg.q, a)
+    grid = ([cfg.alpha] if cfg.alpha is not None
+            else alpha_grid(S.stationary, cfg.grid))
+    vals = [value(a) for a in grid]
     if cfg.conv:
-        curve = conv_envelope(curve)
-    rows = [(a, v, curve.kind, cfg.q, None, None)
-            for a, v in zip(curve.grid, curve.values)]
-    emit(cfg, XI_COLUMNS, rows)
+        env = conv_envelope(SampledCurve(grid, vals, "xi_q", cfg.q))
+        vals, kind = env.values, env.kind
+    emit(cfg, XI_COLUMNS,
+         [(a, v, kind, cfg.q, p, n) for a, v in zip(grid, vals)])
     return EXIT_OK
 
 
@@ -472,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("verify", help="run the invariant suite")
-    common(p)
+    p.add_argument("--seed", type=int, default=0)
 
     return top
 

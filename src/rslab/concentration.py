@@ -38,12 +38,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sobolev import LN2, SampledCurve, alpha_of_u
+from .sobolev import LN2, alpha_of_u
 
 INF = float("inf")
 
 QUAD_TOL = 1e-8
 QUAD_MAX_DEPTH = 40
+
+# golden-section search for the Chernoff order stops at this bracket width
+Q_STAR_TOL = 1e-8
 
 # above this order the binary constraint level exceeds the curve's range
 SATURATION_ORDER = 2.0 - math.log(math.e - 1.0)
@@ -151,29 +154,18 @@ def _newton(f, x, target, lo, hi, increasing):
                          f"{INVERSE_MAXITER} steps")
 
 
-def xi_inverse(q, t, curve: SampledCurve = None) -> float:
-    """Entropy level alpha at which the order-q curve reaches t.
+def xi_inverse(q, t) -> float:
+    """Entropy level alpha at which the order-q two-point curve reaches t.
 
-    Closed-form two-point curve by default (a bracketed Newton solve in
-    w = atanh(2u), exact at order 0); a sampled convex-envelope curve
-    inverts by linear interpolation. Levels above the curve's range return
-    the right endpoint, where the inversion saturates. InversionError if
-    the solve does not converge.
+    A bracketed Newton solve in w = atanh(2u), exact at order 0. Levels
+    above the curve's range return ln 2, where the inversion saturates.
+    InversionError if the solve does not converge.
     """
     t = float(t)
     if t < 0:
         raise ConcentrationError("level t must be nonnegative")
     if t == 0.0:
         return 0.0
-    if curve is not None:
-        if curve.kind != "conv_xi_q":
-            raise ConcentrationError("sampled inversion expects a "
-                                     "convex-envelope curve")
-        vals, grid = curve.values, curve.grid
-        if t >= vals[-1]:
-            return float(grid[-1])
-        keep = np.concatenate(([0], 1 + np.flatnonzero(np.diff(vals) > 0)))
-        return float(np.interp(t, vals[keep], grid[keep]))
     if q < 0:
         raise ConcentrationError("order q must be nonnegative")
     if q == 0:
@@ -222,7 +214,7 @@ BINARY_FAMILY = PhiFamily(
 )
 
 
-def adaptive_simpson(f, a, b, tol=QUAD_TOL, max_depth=QUAD_MAX_DEPTH):
+def adaptive_simpson(f, a, b, tol=QUAD_TOL):
     """Recursive Simpson with Richardson correction -> (value, error bound)."""
     if b <= a:
         return 0.0, 0.0
@@ -235,7 +227,7 @@ def adaptive_simpson(f, a, b, tol=QUAD_TOL, max_depth=QUAD_MAX_DEPTH):
         diff = left + right - whole
         if abs(diff) <= 15.0 * tol:
             return left + right + diff / 15.0, abs(diff) / 15.0
-        if depth >= max_depth:
+        if depth >= QUAD_MAX_DEPTH:
             raise QuadratureError("quadrature did not converge")
         vl, el = rec(x0, x1, f0, fl, f1, left, 0.5 * tol, depth + 1)
         vr, er = rec(x1, x2, f1, fr, f2, right, 0.5 * tol, depth + 1)
@@ -268,7 +260,7 @@ def _family_integral(family, beta, a, b, tol):
     return total, err
 
 
-def upsilon_bound(p, q, beta, family: PhiFamily, tol=QUAD_TOL) -> float:
+def upsilon_bound(p, q, beta, family: PhiFamily) -> float:
     """(qp/(q-p)) * integral of phi_s(beta(s))/s^2 over [p, q], p > 0.
 
     The p = 0 limit lives in concentration_bound, where the p-dependent
@@ -276,7 +268,7 @@ def upsilon_bound(p, q, beta, family: PhiFamily, tol=QUAD_TOL) -> float:
     """
     if not 0.0 < p < q:
         raise ConcentrationError("requires 0 < p < q")
-    val, _ = _family_integral(family, beta, p, q, tol)
+    val, _ = _family_integral(family, beta, p, q, QUAD_TOL)
     return q * p / (q - p) * val
 
 
@@ -331,12 +323,8 @@ class BoundReport:
     quad_error: float
     saturated: bool
 
-    @property
-    def clamped(self):
-        return min(1.0, self.bound)
 
-
-def hypercube_bound(n, p, r, grid_size=64, q_tol=1e-8) -> BoundReport:
+def hypercube_bound(n, p, r, grid_size=64) -> BoundReport:
     """Optimized cube tail bound: inf over q in [p, 2] of the order-q bound.
 
     Cumulative quadrature along a bracketing grid, then golden-section
@@ -380,7 +368,7 @@ def hypercube_bound(n, p, r, grid_size=64, q_tol=1e-8) -> BoundReport:
     x1 = hi - invphi * (hi - lo)
     x2 = lo + invphi * (hi - lo)
     f1, f2 = exponent(x1), exponent(x2)
-    while hi - lo > q_tol:
+    while hi - lo > Q_STAR_TOL:
         if f1 <= f2:
             hi, x2, f2 = x2, x1, f1
             x1 = hi - invphi * (hi - lo)

@@ -35,7 +35,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .semigroup import Semigroup, validate_semigroup
+from .semigroup import Semigroup, kronecker_sum, validate_semigroup
 
 INF = float("inf")
 
@@ -154,12 +154,7 @@ def cartesian_power(G: Graph, n: int) -> Graph:
     N = G.nvertices ** n
     if N > DENSE_VERTEX_BUDGET:
         raise GraphError("dense adjacency budget exceeded")
-    A1 = G.adjacency
-    out = A1
-    for _ in range(n - 1):
-        k = out.shape[0]
-        out = np.kron(out, np.eye(A1.shape[0])) + np.kron(np.eye(k), A1)
-    return Graph(out)
+    return Graph(kronecker_sum(G.adjacency, n))
 
 
 def _as_values(f):

@@ -79,6 +79,7 @@ from .semigroup import (
     Semigroup,
     automorphisms,
     generator_rows,
+    kronecker_sum,
     pi_product,
     sequence_digits,
 )
@@ -624,7 +625,7 @@ def xi_pq_n(S: Semigroup, p, q, n, alpha, return_witness=False):
         # every symmetry of the chain maps a face problem onto an equal
         # one, so one face per orbit of the whole group is solved; among
         # those, the first face of least value wins ties
-        Ln = generator_rows(S, np.eye(N), n)
+        Ln = kronecker_sum(S.generator, n)
         member = _support_masks(N, math.exp(-n * alpha), pin)
         images = member @ np.exp2(automorphisms(S, n).T)   # image bitmasks
         val, Q = min((_face_minimum(Ln, np.flatnonzero(member[i]), q)

@@ -263,8 +263,8 @@ GOLDEN_CASES.append(("extremal_dirac_mixture_n12.csv",
 GOLDEN_CASES += [(f"xi_binary_q{q}_p0_n2_grid16.csv",
                   ["xi", "--binary", "--q", q, "--p", "0", "--n", "2",
                    "--grid", "16"]) for q in ("2", "1.5")]
-# the README's qradius, faber-krahn and concentration commands, CSV at 12
-# significant digits
+# the README's qradius, faber-krahn, concentration and n-letter xi
+# commands, CSV at 12 significant digits
 GOLDEN_CASES += [
     ("qradius_complete4_q2.csv",
      ["qradius", "--graph", "complete", "4", "--q", "2"]),
@@ -276,6 +276,12 @@ GOLDEN_CASES += [
     ("faber_krahn_hypercube_n3_q2_m4.csv",
      ["faber-krahn", "--graph", "hypercube", "--n", "3", "--q", "2",
       "--m", "4"]),
+    ("faber_krahn_hypercube_n3_q2_m4_bound.csv",
+     ["faber-krahn", "--graph", "hypercube", "--n", "3", "--q", "2",
+      "--m", "4", "--bound"]),
+    ("xi_binary_q2_p2_n2_alpha0.3.csv",
+     ["xi", "--binary", "--q", "2", "--p", "2", "--n", "2",
+      "--alpha", "0.3"]),
     ("concentration_gaussian_p0_r1.5.csv",
      ["concentration", "--family", "gaussian", "--p", "0", "--r", "1.5"]),
     ("concentration_binary_n10_p0_r1_2_4.csv",
@@ -316,6 +322,10 @@ VALIDATION_CASES = [
     ("extremal-n0", DIRAC + ["--n", "0"]),
     ("xi-q-inf", ["xi", "--binary", "--q", "inf"]),
     ("qradius-cycle-no-size", ["qradius", "--graph", "cycle", "--q", "2"]),
+    # --conv takes the envelope of a single-letter curve only
+    ("xi-conv-p", XI + ["--p", "2", "--n", "2", "--grid", "4", "--conv"]),
+    ("xi-conv-alpha", XI + ["--alpha", "0.3", "--conv"]),
+    ("verify-out", ["verify", "--out", "v.txt"]),
 ]
 
 

@@ -22,8 +22,7 @@ from rslab.concentration import (
     upsilon_bound,
     xi_inverse,
 )
-from rslab.sobolev import LN2, alpha_of_u, binary_xi_q, binary_xi_y, \
-    conv_envelope, hfun, sample_binary_curve
+from rslab.sobolev import LN2, alpha_of_u, binary_xi_q, binary_xi_y, hfun
 
 E1 = math.e - 1.0
 
@@ -145,16 +144,6 @@ class TestXiInverse:
         assert beta_binary(s) == pytest.approx(1.0 / (2.0 * (s - 1.0)),
                                                abs=1e-12)
 
-    def test_sampled_curve_route(self):
-        conv = conv_envelope(sample_binary_curve(2.0, 512))
-        for t in (0.05, 0.2, 0.4):
-            assert xi_inverse(2.0, t, curve=conv) == \
-                pytest.approx(xi_inverse(2.0, t), abs=1e-4)
-        assert xi_inverse(2.0, 0.9, curve=conv) == conv.grid[-1]
-        raw = sample_binary_curve(2.0, 64)
-        with pytest.raises(ConcentrationError):
-            xi_inverse(2.0, 0.2, curve=raw)
-
     def test_errors(self):
         with pytest.raises(ConcentrationError):
             xi_inverse(2.0, -0.1)
@@ -218,9 +207,9 @@ class TestXiInverse:
             monkeypatch.setattr(concentration, name, counted)
         inverse = concentration.xi_inverse
 
-        def recorded(q, t, curve=None):
+        def recorded(q, t):
             evals[0] = 0
-            alpha = inverse(q, t, curve)
+            alpha = inverse(q, t)
             if evals[0]:
                 per_call.append(evals[0])
             return alpha
@@ -396,7 +385,6 @@ class TestHypercubeBound:
     def test_nonpositive_r_reports_above_one(self):
         rep = hypercube_bound(6, 0.5, -1.0)
         assert rep.bound >= 1.0
-        assert rep.clamped == 1.0
         assert rep.q_star == pytest.approx(0.5, abs=1e-6)
 
     def test_degenerate_p(self):

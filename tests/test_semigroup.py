@@ -22,6 +22,7 @@ from rslab.semigroup import (
     dirichlet_rows,
     generator_rows,
     heat_operator,
+    kronecker_sum,
     load_generator,
     normalized_dirichlet_form,
     pi_product,
@@ -262,12 +263,6 @@ class TestDerivativeCheck:
                 fd, an = derivative_check(S3, f, q)
             assert abs(fd - an) < 1e-6
 
-    def test_bad_h(self):
-        S = binary_semigroup()
-        f = NonnegFunction(np.array([1.0, 2.0]), 2, 1)
-        with pytest.raises(SemigroupError):
-            derivative_check(S, f, 2.0, h=1e-2)
-
 
 class TestHelpers:
     def test_sequence_digits_lexicographic(self):
@@ -411,6 +406,17 @@ class TestKernelProperties:
             scale = n * np.abs(L).max() * np.abs(U).max()
             err = np.abs(generator_rows(S, U, n) - (K @ U.T).T).max()
             assert err <= 1e-14 * scale
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_dense_kronecker_sum(self, m, n):
+        # a non-symmetric M shows a transposed factor; each entry is one
+        # product with 1, or a diagonal sum taken in coordinate order, so
+        # the arrays agree exactly
+        M = np.random.default_rng(10 * m + n).normal(size=(m, m))
+        ref = sum(np.kron(np.kron(np.eye(m ** k), M), np.eye(m ** (n - 1 - k)))
+                  for k in range(n))
+        assert np.array_equal(kronecker_sum(M, n), ref)
 
     @KERNEL_SETTINGS
     @given(chain_batches())
