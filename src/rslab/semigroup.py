@@ -17,7 +17,7 @@ matrix against one coordinate of a batch of rows, by a batched matrix
 product on a reshaped view for the leading coordinates and one plain matrix
 product for the last, so no axis is moved. `generator_rows` sums it over
 the coordinates (the simplex optimizer in `sobolev` calls it),
-`kronecker_sum` is that sum as a dense matrix,
+`kronecker_sum` builds that sum as a dense matrix, block by block,
 `dirichlet_rows` gives -<L u_i, v_i>_{pi^n} per row pair, and
 `apply_generator`, `dirichlet_form_raw` and `product_heat_apply` are its
 one-row cases.
@@ -30,7 +30,7 @@ one member of each orbit.
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import permutations
 
 import numpy as np
@@ -152,12 +152,20 @@ def heat_operator(S: Semigroup, t: float) -> np.ndarray:
 
 
 def pi_product(S: Semigroup, n: int) -> np.ndarray:
-    """Product stationary distribution pi^n over X^n (lexicographic)."""
+    """Product stationary distribution pi^n over X^n (lexicographic).
+
+    Built by outer products, pi^(k+1) = pi^k (x) pi, so every entry is the
+    same product as in reduce(np.kron, [pi] * n).
+    """
     if n < 1:
         raise SemigroupError("n must be >= 1")
     if S.nstates ** n > ENUMERATION_BUDGET:
         raise SemigroupError("product space exceeds enumeration budget")
-    return reduce(np.kron, [S.stationary] * n)
+    pi = np.asarray(S.stationary, dtype=float)
+    out = pi
+    for _ in range(n - 1):
+        out = np.multiply.outer(out, pi).ravel()
+    return out
 
 
 def sequence_digits(m: int, n: int) -> np.ndarray:
@@ -252,10 +260,23 @@ def generator_rows(S: Semigroup, U: np.ndarray, n: int) -> np.ndarray:
 
 def kronecker_sum(M: np.ndarray, n: int) -> np.ndarray:
     """Dense sum over k of I x ... x M x ... x I, M in factor k and the
-    first factor most significant: the product kernel on the identity."""
+    first factor most significant.
+
+    M is added into the block diagonal of each factor in turn, k = 0..n-1:
+    O(m^n m n) writes into a zero matrix. A diagonal entry sums its
+    coordinates' diagonal entries of M in coordinate order; any other
+    nonzero entry is one entry of M.
+    """
     M = np.asarray(M, dtype=float)
-    eye = np.eye(M.shape[0] ** n)
-    return sum(_axis_apply(M.T, eye, M.shape[0], n, k) for k in range(n))
+    m = M.shape[0]
+    out = np.zeros((m ** n, m ** n))
+    for k in range(n):
+        a, b = m ** k, m ** (n - k - 1)
+        # (a, b, m, m) view of the entries whose row and column agree off
+        # coordinate k
+        blocks = np.einsum("iajibj->ijab", out.reshape(a, m, b, a, m, b))
+        blocks += M
+    return out
 
 
 def dirichlet_rows(S: Semigroup, U: np.ndarray, V: np.ndarray, n: int,

@@ -77,11 +77,11 @@ from .semigroup import (
     ENUMERATION_BUDGET,
     NonnegFunction,
     Semigroup,
+    SemigroupError,
     automorphisms,
     generator_rows,
     kronecker_sum,
     pi_product,
-    sequence_digits,
 )
 
 INF = float("inf")
@@ -207,7 +207,7 @@ def alpha_grid(pi, size=64):
 def sample_binary_curve(q, size=64, scale=1.0):
     """Closed-form two-point curve; scale 2.0 gives the unit-rate version
     generated by the graph Laplacian of a single edge."""
-    grid = np.linspace(0.0, LN2 - 1e-6, size, endpoint=False)
+    grid = alpha_grid((0.5, 0.5), size)
     vals = scale * np.array([binary_xi_q(q, a) for a in grid])
     return SampledCurve(grid, vals, "xi_q", q, nstates=2)
 
@@ -684,19 +684,34 @@ class ExtremalSpec:
 
 
 def sequence_type_counts(m, k):
-    """(m^k, m) letter-count table for all base-m sequences of length k."""
-    digits = sequence_digits(m, k)
-    counts = np.zeros((m ** k, m), dtype=np.int32)
+    """(m^k, m) letter-count table for all base-m sequences of length k,
+    x_1 most significant.
+
+    Each column is built one coordinate at a time: putting a letter b in
+    front of every sequence gives block b of the longer list, and adds 1 to
+    column a where b = a.
+    """
+    if m ** k > ENUMERATION_BUDGET:
+        raise SemigroupError("product space exceeds enumeration budget")
+    letter = np.eye(m, dtype=np.int32)
+    cols = []
     for a in range(m):
-        counts[:, a] = (digits == a).sum(axis=1)
-    return counts
+        col = np.zeros(1, dtype=np.int32)
+        for _ in range(k):
+            col = np.add.outer(letter[a], col).ravel()
+        cols.append(col)
+    return np.stack(cols, axis=1)
 
 
 def _typical_rows(counts, k, Qw, eps):
     # empirical measures within relative eps of Q, with a small additive
-    # slack so exact boundary types are kept
-    emp = counts / k
-    return np.all(np.abs(emp - Qw) <= eps * Qw + 1e-12, axis=1)
+    # slack so exact boundary types are kept; the test is made once per
+    # count value c = 0..k of each letter and looked up per sequence
+    ok = np.abs((np.arange(k + 1) / k)[:, None] - Qw) <= eps * Qw + 1e-12
+    rows = ok[counts[:, 0], 0]
+    for a in range(1, len(Qw)):
+        rows &= ok[counts[:, a], a]
+    return rows
 
 
 def typical_mask(Qw, k, eps):
@@ -780,11 +795,10 @@ def extremal_report(spec: ExtremalSpec, S: Semigroup, p, q) -> ExtremalReport:
         raise SobolevError("report requires finite q > 0")
     if p < 0:
         raise SobolevError("order p must be nonnegative")
-    f = build_extremal(spec, S)
     n = spec.n
     pin = pi_product(S, n)
-    Qn = f.values * pin
-    Qn = Qn / Qn.sum()
+    Qn = build_extremal(spec, S).values * pin
+    Qn /= Qn.sum()
     ent_rate = renyi_divergence(Qn, pin, p / q) / n
     dirichlet_rate = _objective(S, n, q, Qn, pin) / n
     return ExtremalReport(float(ent_rate) + 0.0, float(dirichlet_rate) + 0.0,

@@ -258,6 +258,11 @@ GOLDEN_CASES.append(("extremal_dirac_mixture_n12.csv",
                      ["extremal", "--variant", "dirac-mixture", "--binary",
                       "--n", "12", "--p", "3", "--q", "2", "--eps", "0.2",
                       "--beta", "0.3"]))
+# the largest dense extremal table the CLI builds: 2^16 strings
+GOLDEN_CASES.append(("extremal_conditional_typical_n16.csv",
+                     ["extremal", "--variant", "conditional-typical",
+                      "--binary", "--n", "16", "--p", "1", "--q", "2",
+                      "--eps", "0.2", "--Q", "0.62", "0.38"]))
 # support route (p = 0): CSV only, since its full-precision JSON moves in
 # the last bit with the optimizer's path
 GOLDEN_CASES += [(f"xi_binary_q{q}_p0_n2_grid16.csv",

@@ -12,6 +12,7 @@ from rslab.semigroup import (
     NonnegFunction,
     Semigroup,
     SemigroupError,
+    _axis_apply,
     apply_generator,
     as_function,
     automorphisms,
@@ -276,6 +277,15 @@ class TestHelpers:
         pin = pi_product(S, 2)
         assert np.allclose(pin, np.full(9, 1.0 / 9))
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 7])
+    def test_pi_product_is_kron_reduce(self, n):
+        # a non-uniform pi shows a product taken in another order
+        for pi in (np.full(3, 1.0 / 3), np.array([0.1, 0.25, 0.65]),
+                   np.array([0.3, 0.7])):
+            S = Semigroup(np.zeros((pi.size, pi.size)), pi)
+            want = reduce(np.kron, [pi] * n)
+            assert pi_product(S, n).tobytes() == want.tobytes()
+
     def test_pi_product_refuses_empty_product(self):
         with pytest.raises(SemigroupError, match="n must be >= 1"):
             pi_product(binary_semigroup(), 0)
@@ -407,16 +417,21 @@ class TestKernelProperties:
             err = np.abs(generator_rows(S, U, n) - (K @ U.T).T).max()
             assert err <= 1e-14 * scale
 
-    @pytest.mark.parametrize("n", [1, 2, 3])
-    @pytest.mark.parametrize("m", [2, 3, 4])
+    @pytest.mark.parametrize(
+        "m,n", [(m, n) for m in (2, 3, 4) for n in (1, 2, 3)]
+        + [(2, 4), (2, 6), (3, 4)])
     def test_dense_kronecker_sum(self, m, n):
         # a non-symmetric M shows a transposed factor; each entry is one
         # product with 1, or a diagonal sum taken in coordinate order, so
-        # the arrays agree exactly
+        # the arrays agree exactly with the np.kron sum and with the product
+        # kernel applied to every basis vector
         M = np.random.default_rng(10 * m + n).normal(size=(m, m))
-        ref = sum(np.kron(np.kron(np.eye(m ** k), M), np.eye(m ** (n - 1 - k)))
-                  for k in range(n))
-        assert np.array_equal(kronecker_sum(M, n), ref)
+        eye = np.eye(m ** n)
+        for ref in (
+                sum(np.kron(np.kron(np.eye(m ** k), M),
+                            np.eye(m ** (n - 1 - k))) for k in range(n)),
+                sum(_axis_apply(M.T, eye, m, n, k) for k in range(n))):
+            assert np.array_equal(kronecker_sum(M, n), ref)
 
     @KERNEL_SETTINGS
     @given(chain_batches())

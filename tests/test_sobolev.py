@@ -1,5 +1,7 @@
+import importlib.util
 import math
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -245,6 +247,16 @@ class TestCurves:
         g = alpha_grid(np.array([0.5, 0.5]), 64)
         assert g.size == 64 and g[0] == 0.0
         assert g[-1] < LN2 - 1e-7
+
+    @pytest.mark.parametrize("size", [8, 64, 512])
+    def test_binary_curve_grid_is_alpha_grid(self, size):
+        # -ln(1/2) and ln 2 are the same float, so the two-point curve's
+        # grid keeps the bits of linspace(0, ln 2 - 1e-6) that the curve
+        # tables print
+        g = alpha_grid((0.5, 0.5), size)
+        assert np.array_equal(
+            g, np.linspace(0.0, LN2 - 1e-6, size, endpoint=False))
+        assert np.array_equal(sample_binary_curve(2.0, size).grid, g)
 
     def test_curve_validation(self):
         with pytest.raises(SobolevError):
@@ -825,11 +837,63 @@ class TestExtremalBuild:
             build_extremal(spec, S)
 
     def test_type_counts(self):
-        c = sequence_type_counts(2, 3)
-        assert c.shape == (8, 2)
-        assert np.array_equal(c.sum(axis=1), np.full(8, 3))
-        assert np.array_equal(c[:, 1],
-                              sequence_digits(2, 3).sum(axis=1))
+        # the broadcast table against its definition, column a counting the
+        # digits equal to a, at every k with m^k <= 2^12
+        for m in (2, 3, 4):
+            k = 0
+            while m ** k <= 1 << 12:
+                digits = sequence_digits(m, k)
+                want = np.stack([(digits == a).sum(axis=1)
+                                 for a in range(m)], axis=1)
+                c = sequence_type_counts(m, k)
+                assert c.dtype == np.int32 and np.array_equal(c, want)
+                k += 1
+
+
+def _reference_module():
+    """perfbench/reference.py: the benchmark's independent formulas, loaded
+    by path so the benchmark folder does not join sys.path."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "reference.py"
+    spec = importlib.util.spec_from_file_location("perfbench_reference", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+REF = _reference_module()
+
+
+def _assert_rates_match(report, want):
+    for got, ref in zip((report.ent_rate, report.dirichlet_rate), want):
+        assert abs(got - ref) <= 1e-11 * max(abs(ref), 1e-3)
+
+
+class TestExtremalTypeClasses:
+    # the binary extremal densities depend on a string only through its
+    # type, so the dense 2^n route must agree with the benchmark's sums over
+    # the n + 1 type classes with binomial weights
+
+    @pytest.mark.parametrize("n", [8, 12, 16])
+    def test_dirac_mixture(self, n):
+        S = binary_semigroup()
+        for eps in (0.2, 0.6, 1.0):
+            for beta in (0.05, 0.3, 1.0):
+                rep = extremal_report(ExtremalSpec(
+                    "dirac-mixture", n, eps=eps, beta=beta), S, 3.0, 2.0)
+                _assert_rates_match(
+                    rep, REF.dirac_mixture_rates(n, 3.0, 2.0, eps, beta))
+
+    @pytest.mark.parametrize("n", [8, 12, 16])
+    def test_conditional_typical(self, n):
+        S = binary_semigroup()
+        Q = (0.62, 0.38)
+        for eps in (0.2, 0.5):
+            for p in (0.0, 1.0, 3.0):
+                rep = extremal_report(ExtremalSpec(
+                    "conditional-typical", n, eps=eps, Q=np.array(Q)),
+                    S, p, 2.0)
+                _assert_rates_match(
+                    rep, REF.conditional_typical_rates(n, p, 2.0, eps, Q))
 
 
 class TestExtremalReport:
