@@ -31,7 +31,7 @@ n * (y^{1/q}(1-y)^{1/q'} + y^{1/q'}(1-y)^{1/q}) with y = h^{-1}(ln(m)/n).
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations, islice
 
 import numpy as np
 
@@ -46,6 +46,12 @@ DENSE_VERTEX_BUDGET = 4096
 # (relative), and fails loudly after this many steps
 RADIUS_RTOL = 1e-10
 RADIUS_MAXITER = 10000
+# the least positive double: np.maximum(Q, TINY) changes only the zeros of Q
+TINY = 5e-324
+
+# Faber-Krahn subsets gathered and scored per stacked call: enough to spread
+# the per-call cost, few enough that the (k, m, m) stack stays under 0.5 MiB
+SUBSET_CHUNK = 256
 
 
 class GraphError(ValueError):
@@ -205,7 +211,9 @@ def rayleigh_q(A, f, q) -> float:
 
 
 def _fixed_point_radius(A, q):
-    """Certified lower bound on rho_q(A) for finite q > 1, and its witness.
+    """Certified lower bounds on rho_q for a stack A of shape (..., N, N),
+    finite q > 1, with their witnesses; one matrix gives a float and a
+    vector, a stack an array of shape A.shape[:-2] and one of A.shape[:-1].
 
     For a distribution Q put u = Q^{1/q}, w = Q^{1/q'} and
     T = u (Aw) / q + w (Au) / q'. For every such Q,
@@ -216,23 +224,47 @@ def _fixed_point_radius(A, q):
     at q = 2 it is the Collatz-Wielandt bound). The bracket is global, so one
     start from the uniform law is enough: Q <- T / sum T until the bracket
     closes to RADIUS_RTOL relative, then sum T is reported. Isolated vertices
-    leave the support after one step; an edgeless matrix scores 0.
+    leave the support after one step; an edgeless matrix scores 0. The
+    matrices of a stack step together, each with the arithmetic of its own
+    call, and leave the active set as their brackets close.
     """
+    *lead, N = A.shape[:-1]
     qp = q / (q - 1.0)
-    Q = np.full(A.shape[0], 1.0 / A.shape[0])
+    # one matrix steps a vector; a stack steps columns (K, N, 1), so each
+    # product is one matrix-vector call per matrix and each sum spans the
+    # vertices of one matrix
+    if lead:
+        A = A.reshape(-1, N, N)
+    shape, axis, keep = ((len(A), N, 1), 1, True) if lead else (N, 0, False)
+    rows, parts = slice(None), []       # active matrices; closed (rows, s, u)
+    Q = np.full(shape, 1.0 / N)
     for _ in range(RADIUS_MAXITER):
         u, w = Q ** (1.0 / q), Q ** (1.0 / qp)
         T = u * (A @ w) / q + w * (A @ u) / qp
-        s = float(T.sum())
-        if s <= 0.0:
-            return 0.0, u
-        sup = Q > 0
-        if float((T[sup] / Q[sup]).max()) - s <= RADIUS_RTOL * s:
-            return s, u
+        s = np.add.reduce(T, axis=axis, keepdims=keep)
+        # off the support T = Q = 0, and 0 / TINY = 0 leaves the max alone
+        top = np.maximum.reduce(T / np.maximum(Q, TINY), axis=axis,
+                                keepdims=keep)
+        done = top - s <= RADIUS_RTOL * s
+        if not lead:        # one matrix: a scalar test, no boolean reduction
+            if done:
+                return float(s), u
+        elif done.any():
+            at, done = np.arange(shape[0])[rows], done[:, 0, 0]
+            parts.append((at[done], s[done], u[done]))
+            if done.all():
+                break
+            left = ~done
+            rows, A, T, s = at[left], A[left], T[left], s[left]
         Q = T / s
-    raise ConvergenceError(
-        f"q-radius bracket at q = {q:g} still wider than {RADIUS_RTOL:g} "
-        f"relative after {RADIUS_MAXITER} steps")
+    else:
+        raise ConvergenceError(
+            f"q-radius bracket at q = {q:g} still wider than {RADIUS_RTOL:g} "
+            f"relative after {RADIUS_MAXITER} steps")
+    vals, wits = np.empty(shape[0]), np.empty((shape[0], N))
+    for at, val, wit in parts:
+        vals[at], wits[at] = val[:, 0, 0], wit[:, :, 0]
+    return vals.reshape(lead), wits.reshape(*lead, N)
 
 
 def q_radius(A, q, return_witness=False):
@@ -285,39 +317,57 @@ def faber_krahn_exact(G: Graph, n: int, q, m: int) -> FaberKrahnResult:
     """max rho_q over induced subgraphs of G^n with at most m vertices.
 
     Exhaustive over supports of size exactly m: enlarging the support can
-    only increase the maximum of R_q. Subsets whose max induced degree does
-    not beat the incumbent are pruned (rho_q <= max row sum for q in
-    [1, inf]). Enumeration is unrestricted; connected-only enumeration is an
-    optimization whose soundness for general q is not settled here.
+    only increase the maximum of R_q. Enumeration is unrestricted;
+    connected-only enumeration is an optimization whose soundness for
+    general q is not settled here.
 
-    Each subset's rho_q is `eigvalsh` at q = 2 (kept apart from the q-radius
-    solver so the dual-route identity compares two independent routes), the
-    exact max row sum at q = 1, and otherwise `q_radius`'s certified lower
-    bound, within RADIUS_RTOL relative of the true value.
+    The m-subsets are taken in lexicographic order, SUBSET_CHUNK at a time,
+    and each chunk's induced submatrices are gathered into one stack. Subsets
+    whose max induced degree does not beat the incumbent are pruned
+    (rho_q <= max row sum for q in [1, inf]); the rest are scored by one
+    stacked call: `eigvalsh` at q = 2 (kept apart from the q-radius solver so
+    the dual-route identity compares two independent routes), the exact max
+    row sum at q = 1, and otherwise the certified lower bound of
+    `_fixed_point_radius`, within RADIUS_RTOL relative of the true value.
+    The incumbent is then replayed subset by subset: the witness is the
+    lexicographically first subset that beats the incumbent before it by more
+    than 1e-12, in degree bound and in value.
     """
     if q != 2 and not (1 <= q < INF):
         raise GraphError("requires q in [1, inf)")
+    cap = 20 if q == 2 else 16
+    if G.nvertices ** n > cap:
+        raise GraphError(f"enumeration budget |V|^n <= {cap} exceeded")
     An = cartesian_power(G, n).adjacency
     N = An.shape[0]
-    cap = 20 if q == 2 else 16
-    if N > cap:
-        raise GraphError(f"enumeration budget |V|^n <= {cap} exceeded")
     if not (1 <= m <= N):
         raise GraphError("need 1 <= m <= |V|^n")
     if m == 1:
         return FaberKrahnResult(0.0, (0,))
     best, wit = 0.0, tuple(range(m))
-    for subset in combinations(range(N), m):
-        idx = np.array(subset)
-        sub = An[np.ix_(idx, idx)]
-        if sub.sum(axis=1).max() <= best + 1e-12:
-            continue       # degree bound cannot beat the incumbent
-        if q == 2:
-            val = float(np.linalg.eigvalsh(sub)[-1])
-        else:
-            val = q_radius(sub, q)
-        if val > best + 1e-12:
-            best, wit = val, subset
+    subsets = combinations(range(N), m)
+    for _ in range(0, math.comb(N, m), SUBSET_CHUNK):
+        idx = np.fromiter(chain.from_iterable(islice(subsets, SUBSET_CHUNK)),
+                          dtype=np.intp).reshape(-1, m)
+        sub = An[idx[:, :, None], idx[:, None, :]]
+        deg = np.maximum.reduce(np.add.reduce(sub, axis=2), axis=1)
+        live = np.nonzero(deg > best + 1e-12)[0]    # the degree bound passes
+        if not live.size:
+            continue
+        if live.size < len(sub):           # no copy when every subset is live
+            sub = sub[live]
+        bound = deg[live]
+        score = (bound if q == 1 else np.linalg.eigvalsh(sub)[:, -1] if q == 2
+                 else _fixed_point_radius(sub, q)[0])
+        # replay: the incumbent only rises, so each later winner of the chunk
+        # is among the subsets that beat it now
+        ahead = np.nonzero(score > best + 1e-12)[0]
+        while ahead.size:
+            i, ahead = ahead[0], ahead[1:]
+            best, wit = float(score[i]), tuple(idx[live[i]].tolist())
+            if ahead.size:
+                ahead = ahead[(bound[ahead] > best + 1e-12)
+                              & (score[ahead] > best + 1e-12)]
     return FaberKrahnResult(best, wit)
 
 

@@ -745,6 +745,11 @@ def _product_density(Qw, pi, k, eps=None):
 
 def build_extremal(spec: ExtremalSpec, S: Semigroup) -> NonnegFunction:
     """Dense extremal density on X^n for the given recipe."""
+    return _build_extremal(spec, S, None)
+
+
+def _build_extremal(spec, S, pin):
+    """`build_extremal`, with pi^n passed in when the caller holds it."""
     m = S.nstates
     pi = S.stationary
     n = spec.n
@@ -755,7 +760,8 @@ def build_extremal(spec: ExtremalSpec, S: Semigroup) -> NonnegFunction:
         mask = typical_mask(pi, n, spec.eps)
         z = spec.z if spec.z is not None else int(np.argmin(pi))
         zn = z * (m ** n - 1) // (m - 1)
-        pin = pi_product(S, n)
+        if pin is None:
+            pin = pi_product(S, n)
         mass = float(pin[mask].sum())
         if mass <= 0:
             raise SobolevError("empty typical set: eps too small for this length")
@@ -797,7 +803,7 @@ def extremal_report(spec: ExtremalSpec, S: Semigroup, p, q) -> ExtremalReport:
         raise SobolevError("order p must be nonnegative")
     n = spec.n
     pin = pi_product(S, n)
-    Qn = build_extremal(spec, S).values * pin
+    Qn = _build_extremal(spec, S, pin).values * pin
     Qn /= Qn.sum()
     ent_rate = renyi_divergence(Qn, pin, p / q) / n
     dirichlet_rate = _objective(S, n, q, Qn, pin) / n

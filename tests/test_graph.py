@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -6,11 +7,13 @@ import pytest
 from rslab.graph_spectral import (
     INF,
     RADIUS_RTOL,
+    SUBSET_CHUNK,
     ConvergenceError,
     FaberKrahnResult,
     Graph,
     GraphError,
     SubgraphView,
+    _fixed_point_radius,
     cartesian_power,
     complete_graph,
     cycle_graph,
@@ -314,6 +317,40 @@ class TestRadiusCertificate:
                 q_radius(A, q)
 
 
+class TestStackedRadius:
+    def test_stack_matches_single_calls_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        N = 7
+        mats = [random_graph(N, p, rng) for p in (0.3, 0.5, 0.7, 0.9) * 3]
+        mats.append(np.pad(STAR4, (0, N - 4)))         # isolated vertices
+        mats.append(np.zeros((N, N)))                   # edgeless
+        weights = np.triu(rng.uniform(0.1, 2.0, (N, N)), 1)
+        mats.append(weights + weights.T)
+        stack = np.array(mats)
+        for q in (1.01, 1.25, 1.5, 1.999999, 2.0, 3.0, 10.0):
+            vals, wits = _fixed_point_radius(stack, q)
+            assert vals.shape == (len(mats),)
+            assert wits.shape == (len(mats), N)
+            for A, val, wit in zip(mats, vals, wits):
+                one, one_wit = _fixed_point_radius(A, q)
+                assert type(one) is float
+                assert one == val
+                assert one_wit.tobytes() == wit.tobytes()
+            assert vals[-2] == 0.0
+            # leading axes are kept
+            v4, w4 = _fixed_point_radius(stack[:12].reshape(3, 4, N, N), q)
+            assert v4.tobytes() == vals[:12].reshape(3, 4).tobytes()
+            assert w4.tobytes() == wits[:12].reshape(3, 4, N).tobytes()
+
+    def test_stack_fails_loudly_if_one_matrix_cannot_close(self):
+        A = np.zeros((4, 4))
+        A[0, 1] = A[1, 0] = 1.0
+        A[2, 3] = A[3, 2] = 1.0 - 1e-7
+        with pytest.raises(ConvergenceError):
+            _fixed_point_radius(np.array([complete_graph(4).adjacency, A]),
+                                2.0)
+
+
 class TestSubgraphRadius:
     def test_full_view_matches_parent(self):
         G = hypercube_graph(2)
@@ -359,6 +396,8 @@ class TestFaberKrahnExact:
         assert near == pytest.approx(spectral, abs=1e-4)
 
     def test_errors(self):
+        with pytest.raises(GraphError, match="enumeration budget"):
+            faber_krahn_exact(complete_graph(2), 13, 2, 4)    # refused unbuilt
         with pytest.raises(GraphError):
             faber_krahn_exact(complete_graph(2), 5, 1.5, 4)   # 32 > 16
         with pytest.raises(GraphError):
@@ -369,6 +408,76 @@ class TestFaberKrahnExact:
             faber_krahn_exact(complete_graph(2), 2, 2, 5)
         with pytest.raises(GraphError):
             faber_krahn_exact(complete_graph(2), 2, 0.8, 2)
+
+
+def per_subset_faber_krahn(G, n, q, m):
+    """The one-subset-at-a-time search that the stacked one replays."""
+    An = cartesian_power(G, n).adjacency
+    if m == 1:
+        return FaberKrahnResult(0.0, (0,))
+    best, wit = 0.0, tuple(range(m))
+    for subset in combinations(range(An.shape[0]), m):
+        idx = np.array(subset)
+        sub = An[np.ix_(idx, idx)]
+        if sub.sum(axis=1).max() <= best + 1e-12:
+            continue
+        val = (float(np.linalg.eigvalsh(sub)[-1]) if q == 2
+               else q_radius(sub, q))
+        if val > best + 1e-12:
+            best, wit = val, subset
+    return FaberKrahnResult(best, wit)
+
+
+def prism_plus_k4():
+    """3-regular on 16 vertices: the hexagonal prism on 0..11, which has no
+    triangle, and a K4 on 12..15, so the one best 4-subset at q = 2 is the
+    last in lexicographic order."""
+    A = np.zeros((16, 16))
+    for i in range(6):
+        for a, b in ((i, (i + 1) % 6), (6 + i, 6 + (i + 1) % 6), (i, 6 + i)):
+            A[a, b] = A[b, a] = 1.0
+    A[12:, 12:] = complete_graph(4).adjacency
+    return Graph(A)
+
+
+class TestStackedSearch:
+    """The chunked search against the per-subset loop, value and witness."""
+
+    @staticmethod
+    def check(G, n, q, m):
+        got = faber_krahn_exact(G, n, q, m)
+        want = per_subset_faber_krahn(G, n, q, m)
+        assert repr(got.value) == repr(want.value)
+        assert got.witness == want.witness
+        assert all(type(v) is int for v in got.witness)
+        return got
+
+    @pytest.mark.parametrize("q", [1, 1.25, 1.5, 1.999999, 2, 3])
+    @pytest.mark.parametrize("b, n", [(2, 2), (2, 3), (3, 2)])
+    def test_small_powers(self, b, n, q):
+        for m in range(1, b ** n + 1):
+            self.check(complete_graph(b), n, q, m)
+
+    @pytest.mark.parametrize("b, n", [(4, 2), (2, 4)])
+    def test_sixteen_vertices_at_q2(self, b, n):
+        for m in (2, 3, 5, 6, 7, 8, 15, 16):
+            self.check(complete_graph(b), n, 2, m)
+
+    @pytest.mark.parametrize("q", [1, 1.5, 2, 3])
+    def test_cycle_base(self, q):
+        for m in (2, 3, 4, 5, 14, 16):
+            self.check(cycle_graph(4), 2, q, m)
+
+    @pytest.mark.parametrize("q", [1, 1.5, 2])
+    def test_witness_beyond_the_first_chunk(self, q):
+        G = prism_plus_k4()
+        res = self.check(G, 1, q, 4)
+        ranks = {s: i for i, s in enumerate(combinations(range(16), 4))}
+        if q == 1:
+            assert ranks[res.witness] < SUBSET_CHUNK    # a star comes first
+        else:
+            assert res.witness == (12, 13, 14, 15)
+            assert ranks[res.witness] == math.comb(16, 4) - 1 >= SUBSET_CHUNK
 
 
 class TestDualRoutes:
