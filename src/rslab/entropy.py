@@ -17,8 +17,7 @@ per-call overhead.
 
 `renyi_rows` is the one Renyi divergence: it evaluates D_gamma row by row for
 the simplex optimizer in `sobolev`, and `renyi_divergence` is its checked
-one-row case. `renyi_grad` is its exact gradient, which the optimizer hands
-to SLSQP as the constraint normal.
+one-row case.
 """
 
 from dataclasses import dataclass
@@ -156,26 +155,6 @@ def renyi_rows(Qs, pi, logpi, gamma) -> np.ndarray:
         expo = np.where(Qs > 0, gamma * np.log(Qs) + (1 - gamma) * logpi,
                         -INF)
     return _logsumexp(expo) / (gamma - 1.0)
-
-
-def renyi_grad(Q, pi, logpi, gamma) -> np.ndarray:
-    """h = Q * dD_gamma(Q || pi)/dQ for one distribution Q, gamma > 0.
-
-    The product with Q keeps h finite, and zero, where Q is zero:
-
-        gamma = 1:    Q (ln Q - ln pi + 1)
-        gamma = inf:  the indicator of the first argmax of Q / pi
-        otherwise:    (gamma / (gamma - 1)) softmax(gamma ln Q + (1 - gamma) ln pi)
-    """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if gamma == 1:
-            return np.where(Q > 0, Q * (np.log(Q) - logpi + 1.0), 0.0)
-        if np.isinf(gamma):
-            h = np.zeros_like(Q)
-            h[np.argmax(Q / pi)] = 1.0
-            return h
-        expo = np.where(Q > 0, gamma * np.log(Q) + (1 - gamma) * logpi, -INF)
-    return (gamma / (gamma - 1.0)) * np.exp(expo - _logsumexp(expo))
 
 
 def renyi_divergence(Q, pi, gamma) -> float:

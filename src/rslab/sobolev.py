@@ -19,13 +19,15 @@ Under a constraint, reported values are best-found upper bounds on the
 infimum. The starts are the points where the rays from pi toward the
 barycenters of the simplex's proper faces (every face on up to four states,
 the corners beyond) cross the constraint boundary, found by bisection
-(convexity of the divergence in Q makes each ray cross it exactly once).
-Each is polished by SLSQP with the divergence constraint as an inequality;
+(convexity of the divergence in Q makes each ray cross it exactly once),
+and for n >= 2 the product laws on the boundary. Each is polished by an
+in-repo Newton-KKT (SQP) method for the one divergence constraint
+(`minimize`), with an active set for the faces where optima sit at q > 1;
 xi_q at q > 0 is xi_pq_n at p = q, n = 1.
 
 At p = 0 the constraint only bounds the support. With pi uniform each
 support face is then an exact q-radius problem, solved by the certified
-loop `graph_spectral._fixed_point_radius`: no search, and no SLSQP.
+loop `graph_spectral._fixed_point_radius`: no search, and no polish.
 
 Objective and constraint are invariant under every permutation of X^n that
 preserves L_n and pi^n; `semigroup.automorphisms` gives the group
@@ -33,19 +35,22 @@ Aut(L, pi) wr S_n. The two enumerators search one member per orbit, under
 different groups. Support faces are reduced by the whole group, which maps
 each face onto one of equal minimum. Rays are reduced only by the
 stabilizer of state N - 1, and only on orbits where it acts freely. The
-polish runs in y = ln(Q/Q_last), and SLSQP is not
-equivariant under a change of that reference state; the stabilizer only
-permutes the y coordinates. A ray fixed by a nontrivial symmetry starts on
-that symmetry's fixed subspace, which the polish leaves only by rounding,
-so its whole orbit is kept.
+polish runs in y = ln(Q/Q_last), and a Newton iteration in y is
+equivariant under the permutations that fix the reference state, which
+only permute the y coordinates, but not under a change of that state. A
+ray fixed by a nontrivial symmetry starts on that symmetry's fixed
+subspace, which the polish preserves, and where it can end at a saddle
+point that it leaves along a direction of negative curvature; which member
+of the orbit then reaches the least value is not known beforehand, so the
+whole orbit is kept.
 
-The optimizer evaluates the Dirichlet form with `_objective` and the
-divergence through `entropy.renyi_rows`. SLSQP gets exact gradients: the
-objective's value and gradient come from one `semigroup.generator_rows` call
-on the stacked rows [u, v], the divergence's gradient in closed form
-(`entropy.renyi_grad`). Each point y that SLSQP visits costs one softmax and
-one such call, shared by the value, the gradient and the constraint; seeds
-and re-scores take the value alone, from the row u.
+Each polish works on one dense problem (`_Polish`): with M = diag(pi^n) L_n
+from `semigroup.kronecker_sum`, objective and constraint are closed forms
+in z = ln Q, and one pass over y gives both values; their gradients and
+Hessians in y come only at accepted points. Seeds and re-scores take the
+value from `_objective`, on the row u through `semigroup.generator_rows`,
+and the divergence from `entropy.renyi_rows`, so every reported value is
+scored apart from the polish's own closed forms.
 
 The two-point chain admits a closed form (binary_xi_q) used as an oracle, in
 terms of y = h^{-1}(ln 2 - alpha) on [0, 1/2] (binary_xi_y for q > 0):
@@ -65,13 +70,13 @@ conditioned densities and mixtures with a point mass at a least-likely string.
 """
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-from scipy.optimize import minimize
 
-from .entropy import _logsumexp, renyi_divergence, renyi_grad, renyi_rows
+from .entropy import _logsumexp, renyi_divergence, renyi_rows
 from .graph_spectral import _fixed_point_radius
 from .semigroup import (
     ENUMERATION_BUDGET,
@@ -270,33 +275,32 @@ def lsi_constant(curve: SampledCurve, q) -> float:
 # simplex optimizer
 
 
-MULTISTART = 16            # seeds polished per call
+MULTISTART = 16            # ray seeds polished per call
+POLISH_MAXITER = 100       # Newton iterations per polish
+FACE_TOL = 1e-12           # q > 1: mass ratio below which a coordinate may go
+EIG_FLOOR = 1e-8           # least modified Hessian eigenvalue, relative
+NEGATIVE_RTOL = 1e-4       # relative eigenvalue of a direction to leave along
+STOP_RTOL = 1e-13          # stationary once the merit can fall by no more,
+KKT_RTOL = 1e-10           # or once the relative KKT residual is this small
+STEP_MAX = 10.0            # longest step in any log-mass ratio
+SADDLE_RATIO = 1.25        # saddles above this times the incumbent are left
+LAM_GROWTH = 100.0         # carried multiplier over the least-squares one
 
 
-def _objective(S: Semigroup, n, q, Q, pin, grad=False):
+def _objective(S: Semigroup, n, q, Q, pin):
     """Dirichlet objective F of the density characterization at one
     distribution Q on X^n, with D = Q/pi^n; inf for q <= 1 where D has a
-    zero. With grad, the pair (F, h) with h = Q * dF/dQ.
+    zero.
 
     F is -<pi^n, L u . v>/(q-1) on the rows u = D^{1/q}, v = D^{1/q'}, and
-    -<pi^n, L D . ln D> at q = 1 and <pi^n, L D . (1/D)> at q = 0. The
-    gradient needs L v too, and L is self-adjoint in L^2(pi^n), so one
-    generator call on the stacked rows [u, v] gives both:
-
-        q = 1:  h = -pi [D L ln D + L D]
-        q = 0:  h =  pi [D L(1/D) - (L D) / D]
-        else:   h = -(pi/(q-1)) [u Lv / q + v Lu / q']
-
-    For q > 1 h is finite, and zero, where Q is zero; for q <= 1 it is only
-    meaningful where Q is strictly positive. Without grad only the row u is
-    sent through the generator.
+    -<pi^n, L D . ln D> at q = 1 and <pi^n, L D . (1/D)> at q = 0; only the
+    row u goes through the generator.
     """
     D = Q / pin
-    infinite = q <= 1 and not np.all(D > 0)
-    if infinite and not grad:
+    if q <= 1 and not np.all(D > 0):
         return INF
-    # the polish reaches densities near 1e-300, where negative powers of D
-    # overflow to the infinite value the objective has there
+    # near a face, negative powers of D overflow to the infinite value the
+    # objective has there
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if q == 1:
             A, B = D, np.log(D)
@@ -305,18 +309,10 @@ def _objective(S: Semigroup, n, q, Q, pin, grad=False):
         else:
             qp = q / (q - 1.0)
             A, B = D ** (1.0 / q), D ** (1.0 / qp)
-        LU = generator_rows(S, np.stack([A, B]) if grad else A[None, :], n)
-        E = -np.einsum("x,rx,rx->r", pin, LU[:1], B[None, :])[0]
+        LU = generator_rows(S, A[None, :], n)
+        E = -np.einsum("x,rx,rx->r", pin, LU, B[None, :])[0]
         val = E if q == 1 else -E if q == 0 else E / (q - 1.0)
-        val = INF if infinite else float(val)
-        if not grad:
-            return val
-        LA, LB = LU
-        if q == 1:
-            return val, -pin * (D * LB + LA)
-        if q == 0:
-            return val, pin * (D * LB - LA / D)
-        return val, -(pin / (q - 1.0)) * (A * LB / q + B * LA / qp)
+    return float(val)
 
 
 def _logvar_rows(Qs, pin, logpin):
@@ -333,21 +329,16 @@ def _logvar_rows(Qs, pin, logpin):
     return out
 
 
-def _logvar_grad(Q, pin, logpin):
-    """h = Q * d/dQ of Var_pi(ln(Q/pi))/2 at one strictly positive Q:
-    pi (l - E_pi l) with l = ln(Q/pi)."""
-    logd = np.log(Q) - logpin
-    return pin * (logd - pin @ logd)
-
-
-def _level_crossing(out, inside, constraint_rows, level):
+def _level_crossing(out, inside, constraint_rows, level, halvings=60):
     """Bisect (1-t) out + t inside_i for each row inside_i, from an infeasible
     to a feasible point, to the constraint boundary; the just-feasible points
     are returned as rows."""
     inside = np.atleast_2d(inside)
     lo, hi = np.zeros((inside.shape[0], 1)), np.ones((inside.shape[0], 1))
-    for _ in range(60):
+    for _ in range(halvings):
         mid = 0.5 * (lo + hi)
+        if np.all((mid == lo) | (mid == hi)):
+            break       # no float left between: further halvings keep hi
         feas = constraint_rows((1 - mid) * out + mid * inside) >= level
         feas = feas[:, None]
         lo, hi = np.where(feas, lo, mid), np.where(feas, mid, hi)
@@ -374,11 +365,12 @@ def _ray_seeds(origin, constraint_rows, level, symmetries):
 
     symmetries holds index permutations of the k states, as rows, that fix
     origin, the problem and the polish (`_optimize_density`). A face that
-    no nontrivial one of them fixes polishes, up to rounding, to the value
-    of every face in its orbit, so only the first of its orbit is kept. A
-    face fixed by a nontrivial symmetry is kept with its whole orbit: the
-    polish preserves the fixed subspace, which only rounding lets it
-    leave, and which member of the orbit leaves is a matter of rounding.
+    no nontrivial one of them fixes polishes to the value of every face in
+    its orbit, so only the first of its orbit is kept. A face fixed by a
+    nontrivial symmetry is kept with its whole orbit: the polish preserves
+    the fixed subspace, and its end can be a saddle point there, which the
+    polish leaves along a direction of negative curvature; which member of
+    the orbit that reaches the least value is not known beforehand.
     """
     k = origin.size
     if 2 ** k - 2 <= MULTISTART:
@@ -399,6 +391,33 @@ def _ray_seeds(origin, constraint_rows, level, symmetries):
     return list(_level_crossing(origin, targets, constraint_rows, level))
 
 
+def _product_seeds(S, n, gamma, level):
+    """The product laws P^{(x)n}, P = (1-t) pi + t delta_z, on the level, one
+    for each letter z whose point mass reaches it. The Renyi divergence
+    tensorizes, D_g(P^{(x)n} || pi^n) = n D_g(P || pi), so t is bisected on
+    the single letters."""
+    pi = S.stationary
+    logpi = np.log(pi)
+
+    def rows(Ps):
+        return renyi_rows(Ps, pi, logpi, gamma)
+
+    corners = np.eye(pi.size)
+    seeds = []
+    # a seed need only be feasible and near the level, where the polish
+    # starts: 30 halvings put it within 2^-30 of it in t
+    for P in _level_crossing(pi, corners[rows(corners) >= level], rows,
+                             level, halvings=30):
+        Pn = P
+        for _ in range(n - 1):
+            Pn = np.multiply.outer(Pn, P).ravel()
+        seeds.append(Pn)
+    return seeds
+
+
+_ZERO = np.zeros(1)
+
+
 def _softmax_point(y):
     """The point softmax(y, 0) of the simplex, for log-mass ratios y."""
     y = np.append(y, 0.0)
@@ -406,33 +425,406 @@ def _softmax_point(y):
     return w / w.sum()
 
 
-def _y_gradient(h, Q):
-    """Gradient in y of a function F of Q = softmax(y, 0), from
-    h = Q * grad_Q F: h - Q sum h, last coordinate dropped."""
-    return (h - Q * h.sum())[:-1]
+_Point = namedtuple("_Point", "y f c Q ld A MA aux")
 
 
-def _optimize_density(S, n, q, pin, constraint, level):
-    """Seeds, then an SLSQP polish of each.
+class _Polish:
+    """The problem of one polish: the objective and one divergence
+    constraint of `_optimize_density` on a support of X^n, over log-mass
+    ratios y_i = ln(Q_i / Q_ref), the reference the support's last state.
 
-    Minimizes the objective over distributions Q on X^n with rows(Q) >=
-    level; pin is pi_product(S, n), and constraint is a pair (rows, grad),
-    rows(Qs) evaluating it per row of Qs and grad(Q) giving
-    h = Q * (its gradient in Q) at one Q.
+    Everything is a closed form in z = ln Q. With M = diag(pi^n) L_n, dense
+    and symmetric, and the rows a, b of one objective,
+
+        q not in {0, 1}:  a = D^{1/q}, b = D^{1/q'},  F = -b.Ma/(q-1)
+        q = 1:            a = D,       b = ln D,      F = -b.Ma
+        q = 0:            a = D,       b = 1/D,       F =  b.Ma
+
+    and the constraint is (1/n) D_gamma(Q || pi^n) (`kind` "renyi"), the
+    smooth piece (1/n) ln(Q_x/pi_x) of the order-infinity divergence at one
+    state x ("state"), or Var_pi(ln D)/2 at q = 0 ("logvar"). `point` gives
+    both values from one pass over y, with one product M [a, b]; only at an
+    accepted point does `derivatives` chain their gradients and Hessians in
+    z to y through dz/dy = I - 1 Q^T. Every `point` is one dense evaluation,
+    counted in `evals`.
+    """
+
+    def __init__(self, M, pin, q, n, constraint, level, support):
+        self.full_M, self.full_pin = M, pin
+        self.q, self.n, self.level = q, n, level
+        self.kind, self.order = constraint
+        self.powers = np.array((1.0, -1.0) if q == 0
+                               else (1.0 / q, 1.0 - 1.0 / q))
+        self.evals = 0
+        self.restrict(support)
+
+    def restrict(self, support):
+        """Continue on the face of the given states (ascending indices)."""
+        self.support = support
+        self.M = self.full_M[np.ix_(support, support)]
+        self.pin = self.full_pin[support]
+        self.logpin = np.log(self.pin)
+        if self.kind == "state":
+            self.at = int(np.searchsorted(support, self.order))
+
+    def point(self, y):
+        """Objective and constraint at y, with what `derivatives` needs
+        there: one dense evaluation."""
+        self.evals += 1
+        q, n, kind, gamma = self.q, self.n, self.kind, self.order
+        yt = np.concatenate((y, _ZERO))
+        top = yt.max()
+        w = np.exp(yt - top)
+        total = w.sum()
+        z = yt - (top + math.log(total))
+        Q = w / total
+        ld = z - self.logpin
+        if q == 1:
+            A = np.stack([np.exp(ld), ld], axis=1)
+            MA = self.M @ A
+            f = -(A[:, 1] @ MA[:, 0])
+        elif q > 1:
+            A = np.exp(ld[:, None] * self.powers)
+            MA = self.M @ A
+            f = (A[:, 1] @ MA[:, 0]) / (1.0 - q)
+        else:
+            # below q = 1 the row b is a negative power of D, which
+            # overflows to the infinite value the objective has near a face
+            with np.errstate(over="ignore", invalid="ignore"):
+                A = np.exp(ld[:, None] * self.powers)
+                MA = self.M @ A
+                E = A[:, 1] @ MA[:, 0]
+            f = E if q == 0 else E / (1.0 - q)
+        aux = None
+        if kind == "state":
+            c = ld[self.at] / n
+        elif kind == "logvar":
+            aux = ld - self.pin @ ld
+            c = 0.5 * (self.pin @ (aux * aux))
+        elif gamma == 1:
+            c = (Q @ ld) / n
+        else:
+            e = gamma * z + (1.0 - gamma) * self.logpin
+            top = e.max()
+            w = np.exp(e - top)
+            total = w.sum()
+            c = (top + math.log(total)) / ((gamma - 1.0) * n)
+            aux = w / total
+        return _Point(y, f, c, Q, ld, A, MA, aux)
+
+    def derivatives(self, pt, lam=None):
+        """(g, a, W, lam) at pt: the gradients in y of objective and
+        constraint, and the Hessian in y of the Lagrangian F - lam c. With
+        lam None, lam is the least-squares multiplier max(0, a.g/|a|^2);
+        a given lam is capped at LAM_GROWTH times that plus 1, so that a
+        multiplier carried from step to step cannot run away where |a| is
+        small."""
+        q, n, M, Q = self.q, self.n, self.M, pt.Q
+        (ra, rb), (Ma, Mb) = pt.A.T, pt.MA.T
+        diag = slice(None, None, Q.size + 1)
+        if q == 1:
+            g = -(Ma + ra * Mb)
+            W = M * np.add.outer(ra, ra)
+            W.flat[diag] += ra * Mb
+            W = -W
+        elif q == 0:
+            g = ra * Mb - rb * Ma
+            P = np.outer(rb, ra)
+            W = M * -(P + P.T)
+            W.flat[diag] += rb * Ma + ra * Mb
+        else:
+            s, t = self.powers
+            g = -(s * ra * Mb + t * rb * Ma) / (q - 1.0)
+            P = np.outer(ra, rb)
+            W = (s * t / (1.0 - q)) * M * (P + P.T)
+            W.flat[diag] -= (s * s * ra * Mb + t * t * rb * Ma) / (q - 1.0)
+        kind, gamma = self.kind, self.order
+        if kind == "state":
+            a = np.zeros(Q.size)
+            a[self.at] = 1.0 / n
+        elif kind == "logvar":
+            a = self.pin * pt.aux
+        elif gamma == 1:
+            a = Q * (pt.ld + 1.0) / n
+        else:
+            a = (gamma / ((gamma - 1.0) * n)) * pt.aux
+        gy, ay = (g - g.sum() * Q)[:-1], (a - a.sum() * Q)[:-1]
+        aa = ay @ ay
+        least = max(0.0, (ay @ gy) / aa) if aa > 0 else 0.0
+        lam = least if lam is None else min(lam, LAM_GROWTH * (least + 1.0))
+        # W -= lam C, C the constraint's Hessian in z
+        if lam and kind == "logvar":
+            W += lam * np.outer(self.pin, self.pin)
+            W.flat[diag] -= lam * self.pin
+        elif lam and kind == "renyi" and gamma == 1:
+            W.flat[diag] -= (lam / n) * Q * (pt.ld + 2.0)
+        elif lam and kind == "renyi":
+            k = lam * gamma * gamma / ((gamma - 1.0) * n)
+            W += k * np.outer(pt.aux, pt.aux)
+            W.flat[diag] -= k * pt.aux
+        return gy, ay, _chain_hessian(W, g - lam * a, Q), lam
+
+
+def _chain_hessian(H, g, Q):
+    """Hessian in y of a function of z = ln softmax(y, 0) from its gradient
+    g and Hessian H in z: J^T H J - (sum g)(diag Q - Q Q^T), J = I - 1 Q^T,
+    the reference coordinate dropped. (Its gradient is J^T g = g - Q sum g.)
+    """
+    sg = g.sum()
+    h = H.sum(axis=1)
+    X = np.outer(Q, h - (0.5 * (h.sum() + sg)) * Q)
+    Hy = H - X - X.T
+    Hy.flat[::Q.size + 1] -= sg * Q
+    return Hy[:-1, :-1]
+
+
+def _tangent_basis(a):
+    """Orthonormal basis of the complement of a, as columns: the last
+    columns of the Householder reflection that maps a onto e_0."""
+    v = a / math.sqrt(a @ a)
+    v[0] += math.copysign(1.0, v[0])
+    Z = np.outer(v, (-2.0 / (v @ v)) * v[1:])
+    Z.flat[a.size - 1::a.size] += 1.0       # the identity's last columns
+    return Z
+
+
+def _modified_solve(W, b):
+    """W^+ b, with W^+ the inverse of W after its eigenvalues are replaced
+    by their absolute values, floored at EIG_FLOOR of the largest; and a
+    unit direction of negative curvature of W (an eigenvalue below
+    -NEGATIVE_RTOL times the largest), or None."""
+    ev, V = np.linalg.eigh(W)
+    size = np.abs(ev)
+    top = max(size.max(), 1e-300)
+    x = V @ ((b @ V) / np.maximum(size, EIG_FLOOR * top))
+    return x, (V[:, 0] if ev[0] < -NEGATIVE_RTOL * top else None)
+
+
+def _kkt_step(W, g, a, r):
+    """Step of the quadratic model min g.d + d.W.d/2 subject to the
+    linearized constraint r + a.d >= 0.
+
+    First the step onto a.d = -r: its normal part -r a/|a|^2 plus the
+    Newton step of the model on the tangent space, with multiplier lam =
+    a.(g + W d)/|a|^2. Where the model is convex that step solves the
+    problem when lam >= 0; where lam < 0 at a feasible point, or the step
+    ascends there by more than rounding, the constraint is dropped and the
+    Newton step of the whole model taken instead, with multiplier 0. Where
+    W, or its restriction to the tangent space, is not positive definite,
+    its eigenvalues are replaced by their absolute values, floored.
+
+    Returns (d, lam, s): s a unit direction of negative curvature of W on
+    the space the step was taken in, or None."""
+    aa = a @ a
+    if aa > 1e-200:         # beneath, the normal step would overflow
+        d = (-r / aa) * a
+        s = None
+        if a.size > 1:
+            Z = _tangent_basis(a)
+            t, s = _modified_solve(Z.T @ W @ Z, Z.T @ (g + W @ d))
+            d = d - Z @ t
+            s = None if s is None else Z @ s
+        lam = a @ (g + W @ d) / aa
+        if r < 0 or (lam >= 0 and (g @ d <= 0 or np.abs(d).max() < 1e-12)):
+            return d, max(0.0, lam), s
+    d, s = _modified_solve(W, g)
+    return -d, 0.0, s
+
+
+_PolishResult = namedtuple("_PolishResult", "Q converged nit evals")
+
+
+def minimize(polish, y, incumbent=INF):
+    """Newton-KKT (SQP) polish of one `_Polish` problem from y: minimize
+    the objective subject to constraint >= level (Nocedal and Wright,
+    Numerical Optimization, chs. 16 and 18).
+
+    Each iteration takes the step of `_kkt_step` on the Lagrangian Hessian
+    W = H - lam C, with lam the last step's multiplier (at the seed the
+    least-squares one, and never above LAM_GROWTH times the least-squares
+    one plus 1), at most STEP_MAX long, and a backtracking line
+    search on the l1 merit F + mu max(0, level - c). The penalty mu is reset
+    every iteration to 1.5 lam; below the level it is kept at least as
+    large as in the last iteration, and large enough that the step descends.
+    A rejected trial that ends below the level, or off it while the
+    constraint is active, gets a second-order correction along the
+    constraint gradient.
+
+    The polish is stationary when the merit can fall by at most STOP_RTOL
+    relative along the step, or, near that, when the KKT residual is at
+    most KKT_RTOL with the slack's value at most STOP_RTOL. At a stationary
+    point it steps along a direction of negative curvature of W on the
+    tangent space, if there is one: a saddle point, as on the fixed
+    subspace of a symmetry that a seed starts on. It does so only below
+    SADDLE_RATIO times the incumbent, the least value the seeds and
+    polishes before it found: each such descent costs as many iterations
+    as a polish, and one from a saddle point that much higher seldom ends
+    below the incumbent (the SLSQP polish stopped at every saddle point).
+
+    For q > 1 optima sit on faces, which y reaches only at infinity. A
+    coordinate whose mass ratio falls below FACE_TOL in a step is fixed at
+    zero, and the polish continues on that face, when the Lagrangian F -
+    lam (c - level) is lower there.
+
+    Returns the distribution on X^n, whether the polish met its
+    stationarity test within POLISH_MAXITER iterations, the iterations and
+    the dense evaluations it took.
+    """
+    pt = polish.point(y)
+    level = polish.level
+    lam = None
+    converged = False
+    nit = 0
+    mu_below = 0.0
+    while np.isfinite(pt.f) and pt.y.size and nit < POLISH_MAXITER:
+        nit += 1
+        g, a, W, lam = polish.derivatives(pt, lam)
+        r = pt.c - level
+        d, lam, s = _kkt_step(W, g, a, r)
+        d *= min(1.0, STEP_MAX / np.abs(d).max(initial=STEP_MAX))
+        # below the level the penalty is also at least 1.5 times the
+        # least-squares multiplier a.g/|a|^2 and outweighs any rise of F
+        # along d
+        mu = 1.5 * lam
+        if r < 0:
+            mu = max(mu, mu_below, 2.0 * (g @ d) / -r,
+                     1.5 * (a @ g) / (a @ a) if a @ a > 0 else 0.0)
+        mu_below = mu if r < 0 else 0.0
+
+        def merit(p):
+            return p.f + mu * max(0.0, level - p.c)
+
+        phi = merit(pt)
+        slope = g @ d - mu * max(0.0, -r)
+        scale = max(1.0, abs(pt.f))
+        stationary = r >= -1e-15 and (
+            -slope <= STOP_RTOL * scale
+            or (-slope <= 1e-8 * scale
+                and _kkt_residual(g, a, r, STOP_RTOL * scale) <= KKT_RTOL))
+        if stationary:
+            new = (None if s is None or pt.f >= SADDLE_RATIO * incumbent
+                   else _curvature_search(polish, pt, s if g @ s <= 0 else -s,
+                                          a, lam > 0, merit, phi))
+            if new is not None:
+                pt = new
+                continue
+            trial = polish.point(pt.y + d)
+            if merit(trial) <= phi:
+                pt = trial
+            converged = True
+            break
+        new = _line_search(polish, pt, d, a, lam > 0, merit, phi, slope)
+        if new is None:
+            break
+        if polish.q > 1:
+            new = _drop_vanishing(polish, pt, new, lam)
+        pt = new
+    Q = np.zeros(polish.full_pin.size)
+    Q[polish.support] = _softmax_point(pt.y)
+    return _PolishResult(Q, converged or pt.y.size == 0, nit, polish.evals)
+
+
+def _kkt_residual(g, a, r, slack):
+    """max |g - lam a| relative to max |g| + lam max |a|, with lam the
+    least-squares multiplier where the constraint is active, that is where
+    lam r, the first-order value of the slack r, is at most slack; lam is
+    0 where it is not."""
+    aa = a @ a
+    lam = max(0.0, (a @ g) / aa) if aa > 0 else 0.0
+    if lam * r > slack:
+        lam = 0.0
+    scale = np.abs(g).max() + lam * np.abs(a).max()
+    return np.abs(g - lam * a).max() / scale if scale > 0 else 0.0
+
+
+def _to_level(polish, p, a):
+    """Second-order correction: p moved along a onto the linearized level."""
+    return polish.point(p.y + ((polish.level - p.c) / (a @ a)) * a)
+
+
+def _line_search(polish, pt, d, a, active, merit, phi, slope):
+    """Backtracking Armijo search on the merit along d. A rejected trial
+    that ends below the level, or off it on either side when the constraint
+    is active, gets a second-order correction back onto it first."""
+    t = 1.0
+    while t > 1e-6:
+        new = polish.point(pt.y + t * d)
+        if merit(new) <= phi + 1e-4 * t * slope:
+            return new
+        if (active or new.c < polish.level) and a @ a > 0:
+            fix = _to_level(polish, new, a)
+            if merit(fix) <= phi + 1e-4 * t * slope:
+                return fix
+        t *= 0.5
+    return None
+
+
+def _curvature_search(polish, pt, s, a, active, merit, phi):
+    """Step along the unit direction s of negative curvature, halved until
+    the merit falls; each trial is corrected back onto the level when the
+    constraint is active, or when it ends below the level."""
+    t = 1.0
+    for _ in range(8):
+        new = polish.point(pt.y + t * s)
+        if (active or new.c < polish.level) and a @ a > 0:
+            new = _to_level(polish, new, a)
+        if merit(new) < phi:
+            return new
+        t *= 0.5
+    return None
+
+
+def _drop_vanishing(polish, old, new, lam):
+    """The point on the face without the coordinates whose mass ratio fell
+    below FACE_TOL in the last step, when the Lagrangian is lower there;
+    new otherwise. The support's last state is the reference."""
+    vanish = (new.Q < FACE_TOL * new.Q.max()) & (new.Q < old.Q)
+    if not np.any(vanish):
+        return new
+    z = (new.ld + polish.logpin)[~vanish]
+    support = polish.support
+    polish.restrict(support[~vanish])
+    face = polish.point(z[:-1] - z[-1])
+    # F - lam (c - level) at both points, the level cancelling
+    if (face.f - lam * face.c
+            < new.f - lam * new.c - STOP_RTOL * max(1.0, abs(new.f))):
+        return face
+    polish.restrict(support)
+    return new
+
+
+def _optimize_density(S, n, q, pin, gamma, level):
+    """Seeds, then a Newton-KKT polish (`minimize`) of each.
+
+    Minimizes the objective over distributions Q on X^n with constraint >=
+    level; pin is pi_product(S, n), and the constraint is (1/n) D_gamma(Q ||
+    pi^n), or Var_pi(ln(Q/pi))/2 when gamma is None (q = 0, n = 1).
 
     The seeds are the points where the rays from pi toward the face
     barycenters (up to four states) or the corners cross the level
-    (`_ray_seeds`); they are the only global layer, reduced by the
-    symmetries that fix state N - 1 (see the module docstring). Each seed is
-    polished by SLSQP with exact gradients, with the divergence constraint as an inequality, over
-    log-mass ratios y in [-700, 700]^{N-1} with Q = softmax(y, 0), so the
-    simplex needs no constraint. A polished point that misses the level is
-    bisected back onto it. Seeds and polished points alike are scored by
-    the barrier objective (inf unless the constraint holds to 1e-13), so no
-    infeasible point is reported and no result is worse than its seed.
+    (`_ray_seeds`), reduced by the symmetries that fix state N - 1 (see the
+    module docstring), and for n >= 2 the product laws of `_product_seeds`.
+    Each seed is polished by `minimize` over log-mass ratios y with Q =
+    softmax(y, 0), so the simplex needs no constraint: for q > 1 on the
+    seed's support (masses above 1e-14 of its largest), while for q <= 1 a
+    seed with a zero mass, where the objective is infinite, is scored but
+    not polished. At gamma = inf the
+    constraint ln max_x Q_x/pi_x >= n level is not smooth: each seed is
+    polished under the smooth piece of the state x where Q/pi is largest at
+    the seed, which implies it; the seeds hold one such state per orbit. A
+    polished point that misses the level is bisected back onto it. Seeds
+    and polished points alike are scored by the barrier objective (inf
+    unless the constraint holds to 1e-13), so no infeasible point is
+    reported and no result is worse than its seed.
     """
-    N = S.nstates ** n
-    constraint_rows, constraint_grad = constraint
+    N = pin.size
+    logpin = np.log(pin)
+    if gamma is None:
+        def constraint_rows(Qs):
+            return _logvar_rows(Qs, pin, logpin)
+    else:
+        def constraint_rows(Qs):
+            return renyi_rows(Qs, pin, logpin, gamma) / n
 
     def full_objective(Q):
         if not constraint_rows(Q[None, :])[0] >= level - 1e-13:
@@ -442,53 +834,29 @@ def _optimize_density(S, n, q, pin, constraint, level):
     perms = automorphisms(S, n)
     seeds = _ray_seeds(pin, constraint_rows, level,
                        perms[perms[:, -1] == N - 1])[:MULTISTART]
+    if n > 1:
+        seeds += _product_seeds(S, n, gamma, level)
 
-    # polish over log-mass ratios y_i = ln(Q_i / Q_N): optima often sit on
-    # a face (q > 1) or within 1e-10 of one (q <= 1), where the powers of Q
-    # in objective and constraint have infinite slope in Q but not in y
-    def polish_problem():
-        """fun, jac and constraints of one SLSQP polish. SLSQP asks for the
-        value, the gradient and the constraint at the same y: each distinct
-        y costs one softmax and one objective evaluation, kept by y's bytes
-        for the rest of the polish."""
-        points = {}
-
-        def at(y):
-            key = y.tobytes()
-            if key not in points:
-                Q = _softmax_point(y)
-                points[key] = (Q,) + _objective(S, n, q, Q, pin, grad=True)
-            return points[key]
-
-        def fun(y):
-            return at(y)[1]
-
-        def jac(y):
-            Q, _, h = at(y)
-            return _y_gradient(h, Q)
-
-        def constraint(y):
-            return constraint_rows(at(y)[0][None, :])[0] - level
-
-        def constraint_jac(y):
-            Q = at(y)[0]
-            return _y_gradient(constraint_grad(Q), Q)
-
-        return fun, jac, [{"type": "ineq", "fun": constraint,
-                           "jac": constraint_jac}]
-
-    bounds = [(-700.0, 700.0)] * (N - 1)
+    M = pin[:, None] * kronecker_sum(S.generator, n)
     candidates = []
     for s in seeds:
-        ls = np.log(np.maximum(s, 1e-300))
-        fun, jac, constraints = polish_problem()
-        res = minimize(fun, ls[:-1] - ls[-1], method="SLSQP", jac=jac,
-                       bounds=bounds, constraints=constraints,
-                       options={"ftol": 1e-15, "maxiter": 200})
-        Q = _softmax_point(res.x)
+        constraint = (("logvar", None) if gamma is None
+                      else ("state", int(np.argmax(s / pin)))
+                      if np.isinf(gamma) else ("renyi", gamma))
+        # q > 1 polishes on the face a seed lies on, up to masses at the
+        # rounding level of the largest; below, the objective is infinite
+        # there, and only seeds inside are polished
+        support = np.flatnonzero(s > 1e-14 * s.max())
+        if q <= 1 and support.size < N:
+            continue
+        ls = np.log(s[support])
+        res = minimize(_Polish(M, pin, q, n, constraint, level, support),
+                       ls[:-1] - ls[-1],
+                       min((c[0] for c in candidates), default=INF))
+        Q = res.Q
         v = full_objective(Q)
         if not np.isfinite(v):
-            # SLSQP can stop just outside the level set (1e-11 seen); the
+            # the polish can stop just outside the level set; the
             # divergence grows from Q toward the corner of the largest Q/pi
             corner = np.eye(N)[np.argmax(Q / pin)]
             if constraint_rows(corner[None, :])[0] >= level:
@@ -524,11 +892,7 @@ def xi_q(S: Semigroup, q, alpha, return_witness=False):
         return (0.0, S.stationary.copy()) if return_witness else 0.0
     if q > 0:
         return xi_pq_n(S, q, q, 1, alpha, return_witness=return_witness)
-    pin = S.stationary
-    logpin = np.log(pin)
-    constraint = (lambda Qs: _logvar_rows(Qs, pin, logpin),
-                  lambda Q: _logvar_grad(Q, pin, logpin))
-    val, Q = _optimize_density(S, 1, q, pin, constraint, alpha)
+    val, Q = _optimize_density(S, 1, q, S.stationary, None, alpha)
     return (val, Q) if return_witness else val
 
 
@@ -634,12 +998,7 @@ def xi_pq_n(S: Semigroup, p, q, n, alpha, return_witness=False):
         val = val / n
         return (val, Q) if return_witness else val
 
-    gamma = p / q
-    logpin = np.log(pin)
-    constraint = (lambda Qs: renyi_rows(Qs, pin, logpin, gamma) / n,
-                  lambda Q: renyi_grad(Q, pin, logpin, gamma) / n)
-
-    val, Q = _optimize_density(S, n, q, pin, constraint, alpha)
+    val, Q = _optimize_density(S, n, q, pin, p / q, alpha)
     val = val / n
     return (val, Q) if return_witness else val
 

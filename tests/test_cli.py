@@ -2,6 +2,9 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +16,7 @@ from rslab.semigroup import binary_semigroup
 from rslab.sobolev import binary_xi_q, xi_pq_n, xi_q
 
 DATA = Path(__file__).parent / "data"
+SRC = Path(cli.__file__).resolve().parents[1]
 
 
 def run_cli(args):
@@ -111,6 +115,16 @@ class TestXi:
         assert payload["meta"]["seed"] == 0
         assert len(payload["rows"]) == 4
         assert payload["rows"][0]["value"] == 0.0
+
+    def test_infinite_order_values(self):
+        # the values the SLSQP polish gave, which the Newton polish keeps
+        rc, out, _ = run_cli(["xi", "--binary", "--q", "2", "--p", "inf",
+                              "--n", "2", "--grid", "4"])
+        assert rc == 0
+        vals = [float(r["value"]) for r in parse_csv(out)]
+        assert vals[0] == 0.0
+        assert vals[1:] == pytest.approx(
+            [0.0076933908186, 0.0407205201353, 0.129018886016], rel=1e-9)
 
 
 class TestQRadius:
@@ -224,6 +238,21 @@ class TestExtremal:
         assert "beta" in err
 
 
+def run_subprocess(args, threads=None):
+    """stdout of `python args` in a fresh interpreter that imports rslab
+    from this tree, with the BLAS thread count set when given."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
+    if threads is not None:
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                    "MKL_NUM_THREADS"):
+            env[var] = str(threads)
+    done = subprocess.run([sys.executable] + args, env=env,
+                          capture_output=True, timeout=300, check=True)
+    return done.stdout
+
+
 class TestDeterminism:
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -240,6 +269,28 @@ class TestDeterminism:
         assert cli.main(args + ["--out", str(a)]) == 0
         assert cli.main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        # the README's reproduction: a random 3-state chain at n = 2, p < q,
+        # whose values once moved in the last digit with the thread count
+        A = np.triu(np.random.default_rng(2026).uniform(0.05, 2, (3, 3)), 1)
+        A = A + A.T
+        path = tmp_path / "chain.mat"
+        np.savetxt(path, A - np.diag(A.sum(axis=1)))
+        args = ["-m", "rslab.cli", "xi", "--generator", str(path),
+                "--q", "1.5", "--p", "0.5", "--n", "2", "--grid", "8",
+                "--format", "json"]
+        one = run_subprocess(args, threads=1)
+        assert len(json.loads(one)["rows"]) == 8
+        assert run_subprocess(args, threads=2) == one
+
+
+class TestDependencies:
+    def test_cli_import_loads_no_scipy(self):
+        loaded = run_subprocess(
+            ["-c", "import sys, rslab.cli; print(sorted(m for m in "
+                   "sys.modules if m.split('.')[0] == 'scipy'))"])
+        assert loaded.decode().strip() == "[]"
 
 
 # stored outputs of commands whose bytes do not depend on the machine: the

@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.optimize import minimize as scipy_minimize
 from scipy.optimize import minimize_scalar
 
 from rslab import semigroup, sobolev
-from rslab.entropy import renyi_grad, renyi_rows
+from rslab.entropy import renyi_rows
 from rslab.graph_spectral import ConvergenceError, _fixed_point_radius
 from rslab.semigroup import (
     Semigroup,
@@ -23,12 +24,10 @@ from rslab.semigroup import (
     validate_semigroup,
 )
 from rslab.sobolev import (
-    _logvar_grad,
     _logvar_rows,
     _objective,
     _softmax_point,
     _support_masks,
-    _y_gradient,
     ExtremalSpec,
     SampledCurve,
     SobolevError,
@@ -380,6 +379,15 @@ class TestXiPqN:
                 assert (xi_pq_n(S, q, q, n, alpha)
                         <= xi_q(S, q, alpha) * (1 + 1e-12))
 
+    def test_infinite_order_not_above_order_three(self):
+        # D_inf >= D_3, so the order-infinity level set holds the order-3
+        # one and its infimum can only be lower
+        for S, n in ((binary_semigroup(), 2), (three_state_chain(), 2)):
+            hi = -math.log(S.stationary.min())
+            for alpha in (0.25 * hi, 0.5 * hi, 0.75 * hi):
+                assert (xi_pq_n(S, math.inf, 2, n, alpha)
+                        <= xi_pq_n(S, 3, 2, n, alpha) * (1 + 1e-12))
+
     def test_support_route_single_letter(self):
         # alpha = 0.2 admits only singleton supports; hand value 1/2
         S = binary_semigroup()
@@ -522,13 +530,14 @@ class TestXiPqN:
                     for row in got] == want
 
     def test_rays_reduced_only_by_the_reference_state_stabilizer(self):
-        # The polish runs in y = ln(Q/Q_last), so SLSQP is equivariant only
+        # The polish runs in y = ln(Q/Q_last), so it is equivariant only
         # under the symmetries that fix the last state. At this level only
         # the corner rays are feasible. All four corners of K2^2 are one
-        # orbit of the whole group, yet from corners 1 and 2 (swapped by
-        # the stabilizer of corner 3) the polish reaches 0.3191262, and from
-        # corners 0 and 3 it stops at 0.3337987: keeping one ray per orbit
-        # of the whole group keeps corner 0 alone and reports the latter
+        # orbit of the whole group, yet the earlier SLSQP polish reached
+        # 0.3191262 from corners 1 and 2 (swapped by the stabilizer of
+        # corner 3) and stopped at 0.3337987 from corners 0 and 3: keeping
+        # one ray per orbit of the whole group kept corner 0 alone and
+        # reported the latter
         S = binary_semigroup()
         assert xi_pq_n(S, 1, 2, 2, 0.420970) <= 0.31912626966 * (1 + 1e-12)
 
@@ -626,12 +635,6 @@ def central_differences(F, y, eps=1e-6):
     return out
 
 
-def log_central_differences(F, Q):
-    """Central differences of F in ln Q: the h = Q * grad_Q F that the exact
-    gradients return."""
-    return central_differences(lambda z: F(np.exp(z)), np.log(Q), eps=1e-5)
-
-
 def assert_close_relative(got, want, rel=1e-6):
     # the absolute 1e-9 covers the differences' rounding where the exact
     # gradient vanishes (Q = pi): there they read ~1e-11, not 0
@@ -639,147 +642,279 @@ def assert_close_relative(got, want, rel=1e-6):
     assert np.max(np.abs(got - want)) <= rel * np.max(np.abs(want)) + 1e-9
 
 
-def objective(S, n, q, pin):
-    return lambda Q: _objective(S, n, q, Q, pin)
+def polish_problem(S, n, q, constraint, level=0.0, support=None):
+    """The dense problem `_optimize_density` polishes, on a support of X^n
+    (all of it by default)."""
+    pin = pi_product(S, n)
+    M = pin[:, None] * semigroup.kronecker_sum(S.generator, n)
+    if support is None:
+        support = np.arange(pin.size)
+    return sobolev._Polish(M, pin, q, n, constraint, level, support)
+
+
+def log_ratios(Q):
+    """y = ln(Q_i / Q_last) of a strictly positive distribution."""
+    lq = np.log(Q)
+    return lq[:-1] - lq[-1]
+
+
+def derivatives_in_y(problem, y):
+    """(g, a, H, C): the problem's gradients of objective and constraint and
+    their Hessians, C from the Lagrangian Hessians at multipliers 0 and 1."""
+    g, a, H, _ = problem.derivatives(problem.point(y), 0.0)
+    C = H - problem.derivatives(problem.point(y), 1.0)[2]
+    return g, a, H, C
+
+
+def assert_exact_derivatives(problem, y, parts="gaHC"):
+    """Gradients against central differences of the values, and Hessians,
+    applied to two fixed directions, against central differences of the
+    gradients along them."""
+    g, a, H, C = derivatives_in_y(problem, y)
+    if "g" in parts:
+        assert_close_relative(
+            g, central_differences(lambda v: problem.point(v).f, y, 1e-5))
+    if "a" in parts:
+        assert_close_relative(
+            a, central_differences(lambda v: problem.point(v).c, y, 1e-5))
+    k = np.arange(1, y.size + 1)
+    for v in (np.sin(k), np.cos(k)):
+        def along(t, which):
+            return derivatives_in_y(problem, y + t * v)[which]
+        for which, Hessian in ((0, H), (1, C)):
+            if "gaHC"[which + 2] in parts:
+                eps = 1e-6
+                assert_close_relative(
+                    Hessian @ v,
+                    (along(eps, which) - along(-eps, which)) / (2 * eps))
 
 
 class TestExactGradients:
-    """The gradients handed to SLSQP against central differences."""
+    """The polish's closed-form gradients and Hessians in y against central
+    differences, on random chains; the values behind them are checked
+    against `_objective` and `renyi_rows` in `TestPolishGradients`."""
 
     @pytest.mark.parametrize("q", [0, 0.8, 1, 1.5, 2, 3])
     @KERNEL_SETTINGS
     @given(positive_chain_points())
     def test_objective(self, q, case):
         S, n, Q = case
-        pin = pi_product(S, n)
-        assert_close_relative(
-            _objective(S, n, q, Q, pin, grad=True)[1],
-            log_central_differences(objective(S, n, q, pin), Q))
+        problem = polish_problem(S, n, q, ("renyi", 1.0))
+        assert_exact_derivatives(problem, log_ratios(Q), parts="gH")
 
     @pytest.mark.parametrize("gamma", [0.5, 1, 1.5, 2])
     @KERNEL_SETTINGS
     @given(positive_chain_points())
     def test_renyi_constraint(self, gamma, case):
         S, n, Q = case
-        pin = pi_product(S, n)
-        logpin = np.log(pin)
-        assert_close_relative(
-            renyi_grad(Q, pin, logpin, gamma),
-            log_central_differences(
-                lambda R: renyi_rows(R, pin, logpin, gamma)[0], Q))
+        problem = polish_problem(S, n, 2.0, ("renyi", gamma))
+        assert_exact_derivatives(problem, log_ratios(Q), parts="aC")
 
     def test_renyi_constraint_infinite_order(self):
-        # ln max Q/pi: h is the indicator of the (here unique) argmax
-        pin = np.full(4, 0.25)
+        # the smooth piece ln(Q_x/pi_x)/n of ln max Q/pi that a polish at
+        # p = inf works with, at the argmax state x
+        S = laplacian_chain(FOUR_STATE["weighted4"])
         Q = np.array([0.1, 0.45, 0.2, 0.25])
-        h = renyi_grad(Q, pin, np.log(pin), math.inf)
-        assert np.array_equal(h, [0.0, 1.0, 0.0, 0.0])
-        assert_close_relative(h, log_central_differences(
-            lambda R: renyi_rows(R, pin, np.log(pin), math.inf)[0], Q))
+        problem = polish_problem(S, 1, 2.0, ("state", 1))
+        assert problem.point(log_ratios(Q)).c == pytest.approx(
+            renyi_rows(Q, S.stationary, np.log(S.stationary), math.inf)[0],
+            rel=1e-14)
+        assert_exact_derivatives(problem, log_ratios(Q))
 
     @KERNEL_SETTINGS
     @given(positive_chain_points())
     def test_log_variance_constraint(self, case):
         S, n, Q = case
-        pin = pi_product(S, n)
-        logpin = np.log(pin)
-        assert_close_relative(
-            _logvar_grad(Q, pin, logpin),
-            log_central_differences(
-                lambda R: _logvar_rows(R, pin, logpin)[0], Q))
+        problem = polish_problem(S, n, 0.0, ("logvar", None))
+        assert_exact_derivatives(problem, log_ratios(Q), parts="aC")
+
+    @pytest.mark.parametrize("q", [1.5, 2, 3])
+    @KERNEL_SETTINGS
+    @given(positive_chain_points())
+    def test_on_a_proper_face(self, q, case):
+        # for q > 1 the polish continues on a face: the states of the
+        # support, the last the reference, with every other mass zero
+        S, n, Q = case
+        support = np.arange(1, Q.size) if Q.size > 2 else np.arange(Q.size)
+        problem = polish_problem(S, n, q, ("renyi", 0.5), support=support)
+        face = Q[support] / Q[support].sum()
+        assert_exact_derivatives(problem, log_ratios(face))
+        if support.size < Q.size:
+            full = np.zeros(Q.size)
+            full[support] = face
+            pin = pi_product(S, n)
+            assert problem.point(log_ratios(face)).f == pytest.approx(
+                _objective(S, n, q, full, pin), rel=1e-12, abs=1e-15)
 
     def test_y_gradient_finite_where_softmax_underflows(self):
         S = three_state_chain()
-        pin = S.stationary
-        logpin = np.log(pin)
-        P = _softmax_point(np.array([700.0, -700.0]))
-        assert P[1] == 0.0 and P[2] > 0.0
-        for h in (_objective(S, 1, 2, P, pin, grad=True)[1],
-                  renyi_grad(P, pin, logpin, 1.0),
-                  renyi_grad(P, pin, logpin, 1.5)):
-            assert np.all(np.isfinite(_y_gradient(h, P)))
+        y = np.array([700.0, -700.0])
+        assert _softmax_point(y)[1] == 0.0
+        for q, constraint in ((2, ("renyi", 1.0)), (2, ("renyi", 1.5)),
+                              (1.5, ("state", 0))):
+            pt_problem = polish_problem(S, 1, q, constraint)
+            for part in derivatives_in_y(pt_problem, y):
+                assert np.all(np.isfinite(part))
+
+
+def recorded_polishes(monkeypatch, run):
+    """(problem arguments, seed y, result) of every polish that run makes."""
+    calls = []
+    real = sobolev.minimize
+
+    def recording(problem, y, *rest):
+        args = (problem.full_M, problem.full_pin, problem.q, problem.n,
+                (problem.kind, problem.order), problem.level,
+                problem.support.copy())
+        res = real(problem, y, *rest)
+        calls.append((args, np.array(y), res))
+        return res
+
+    monkeypatch.setattr(sobolev, "minimize", recording)
+    run()
+    return calls
 
 
 class TestPolishGradients:
     @pytest.mark.parametrize("route", ["xi_q-q0", "xi_q-q2", "xi_pq_n"])
     def test_every_polish_gets_exact_jacobians(self, monkeypatch, route):
-        # a later edit must not fall back to finite differences in silence
-        calls = []
-        real = sobolev.minimize
-
-        def recording(fun, x0, **kwargs):
-            calls.append((fun, np.array(x0), kwargs))
-            return real(fun, x0, **kwargs)
-
-        monkeypatch.setattr(sobolev, "minimize", recording)
-        S = binary_semigroup()
-        if route == "xi_q-q0":
-            xi_q(three_state_chain(), 0, 0.3)
-        elif route == "xi_q-q2":
-            xi_q(three_state_chain(), 2, 0.3)
-        else:
-            xi_pq_n(S, 1.5, 2, 2, 0.3)
+        # each polish's problem, at its seed, has the value and constraint
+        # of the reference routines and derivatives that match central
+        # differences
+        S = {"xi_q-q0": three_state_chain(), "xi_q-q2": three_state_chain(),
+             "xi_pq_n": binary_semigroup()}[route]
+        q, n, p = {"xi_q-q0": (0, 1, None), "xi_q-q2": (2, 1, 2),
+                   "xi_pq_n": (2, 2, 1.5)}[route]
+        calls = recorded_polishes(monkeypatch, lambda: (
+            xi_q(S, q, 0.3) if n == 1 else xi_pq_n(S, p, q, n, 0.3)))
         assert calls
-        for fun, x0, kwargs in calls:
-            assert callable(kwargs.get("jac"))
-            for con in kwargs.get("constraints", ()):
-                assert callable(con.get("jac"))
-            # and each is the gradient of its function at the seed
-            pairs = [(fun, kwargs["jac"])] + [
-                (con["fun"], con["jac"]) for con in kwargs["constraints"]]
-            for f, jac in pairs:
-                assert_close_relative(jac(x0), central_differences(f, x0))
-        assert all(kwargs["constraints"] for _, _, kwargs in calls)
+        pin = pi_product(S, n)
+        for args, y, _ in calls:
+            problem = sobolev._Polish(*args)
+            assert problem.support.size == pin.size
+            Q = _softmax_point(y)
+            pt = problem.point(y)
+            assert pt.f == pytest.approx(_objective(S, n, q, Q, pin),
+                                         rel=1e-12)
+            want = (_logvar_rows(Q, pin, np.log(pin))[0] if q == 0 else
+                    renyi_rows(Q, pin, np.log(pin), p / q)[0] / n)
+            assert pt.c == pytest.approx(want, rel=1e-12)
+            assert_exact_derivatives(problem, y, parts="ga")
 
 
 class TestPolishCost:
-    def test_one_kernel_call_and_one_softmax_per_point(self, monkeypatch):
-        # SLSQP asks for value, gradient and constraint at the same y; each
-        # distinct y of a polish costs one softmax and one generator call.
-        # Beyond those, each polish scores its seed and re-scores its result
-        # (once more when that is bisected back onto the level), and takes
-        # the softmax of its result
-        counts = {"kernel": 0, "softmax": 0}
-        distinct = []                   # distinct y of each polish
-        real_rows = sobolev.generator_rows
-        real_softmax = sobolev._softmax_point
-        real_minimize = sobolev.minimize
+    @pytest.mark.parametrize("chain,p,q,alpha,most,total", [
+        ("binary", 1, 2, 0.3, 40, 160),
+        ("K3", 2, 2, 0.3 * math.log(3), 28, 160)], ids=["binary", "K3"])
+    def test_dense_evaluations_per_polish(self, monkeypatch, chain, p, q,
+                                          alpha, most, total):
+        # each dense evaluation is one pass over y; the counts are
+        # deterministic (at most 30 and 128 in all on binary, 21 and 128 on
+        # K3), and the bounds sit 1.25-1.35x above them
+        S = symmetric_chain(chain)
+        calls = recorded_polishes(monkeypatch,
+                                  lambda: xi_pq_n(S, p, q, 2, alpha))
+        evals = [res.evals for _, _, res in calls]
+        assert max(evals) <= most and sum(evals) <= total
 
-        def rows(*args):
-            counts["kernel"] += 1
-            return real_rows(*args)
 
-        def softmax(y):
-            counts["softmax"] += 1
-            return real_softmax(y)
+def curves_style_inputs():
+    """The curves workload's xi_q and xi_pq_n slots at the centers of its
+    level strata, and the criterion-3 grid."""
+    chains = {"binary": binary_semigroup(), "K3": three_state_chain(),
+              "K4": laplacian_chain(FOUR_STATE["K4"]),
+              "C4": laplacian_chain(FOUR_STATE["C4"])}
+    calls = [(chains["binary"], None, q, 1, f * LN2)
+             for q in (0.0, 0.8, 1.0, 1.5, 2.0, 3.0) for f in (0.2, 0.5, 0.8)]
+    calls += [(chains[g], None, q, 1, f * math.log(chains[g].nstates))
+              for g in ("K3", "K4", "C4") for q in (0.0, 1.0, 2.0)
+              for f in (0.2, 0.5, 0.8)]
+    calls += [(chains[g], p, q, n, f * math.log(chains[g].nstates))
+              for g, p, q, n in (("binary", 1.5, 1.5, 2), ("binary", 2, 2, 2),
+                                 ("binary", 3, 3, 2), ("binary", 1, 2, 2),
+                                 ("binary", 3, 2, 2), ("binary", 0.5, 0.8, 2),
+                                 ("binary", 2, 2, 3), ("K3", 2, 2, 2))
+              for f in (0.2, 0.4, 0.6)]
+    grid = np.linspace(0.0, LN2 - 1e-6, 64, endpoint=False)[1:]
+    calls += [(chains["binary"], q, q, 2, a) for q in (1.5, 2.0, 3.0)
+              for a in grid]
+    return calls
 
-        def recording(fun, x0, **kwargs):
-            seen = set()
 
-            def spy(f):
-                def call(y):
-                    seen.add(y.tobytes())
-                    return f(y)
-                return call
+class TestPolishConvergence:
+    def test_every_polish_meets_its_stationarity_test(self, monkeypatch):
+        # on the curves-style inputs and the criterion-3 grid no polish
+        # stops at its iteration cap or in a failed line search
+        def run():
+            for S, p, q, n, alpha in curves_style_inputs():
+                if p is None:
+                    xi_q(S, q, alpha)
+                else:
+                    xi_pq_n(S, p, q, n, alpha)
 
-            kwargs["jac"] = spy(kwargs["jac"])
-            kwargs["constraints"] = [
-                {**con, "fun": spy(con["fun"]), "jac": spy(con["jac"])}
-                for con in kwargs["constraints"]]
-            res = real_minimize(spy(fun), x0, **kwargs)
-            distinct.append(len(seen))
-            return res
+        calls = recorded_polishes(monkeypatch, run)
+        assert len(calls) > 1000
+        stuck = [(args[2:6], res.nit) for args, _, res in calls
+                 if not res.converged]
+        assert not stuck
+        assert max(res.nit for _, _, res in calls) < sobolev.POLISH_MAXITER
 
-        # semigroup's own name too, which dirichlet_rows calls
-        monkeypatch.setattr(semigroup, "generator_rows", rows)
-        monkeypatch.setattr(sobolev, "generator_rows", rows)
-        monkeypatch.setattr(sobolev, "_softmax_point", softmax)
-        monkeypatch.setattr(sobolev, "minimize", recording)
-        xi_pq_n(binary_semigroup(), 1, 2, 2, 0.3)
-        runs, points = len(distinct), sum(distinct)
-        assert runs >= 1 and points >= 10 * runs
-        assert counts["kernel"] <= points + 3 * runs
-        assert counts["softmax"] <= points + runs
+
+def slsqp_value(S, p, q, n, alpha):
+    """The earlier polish, as an oracle: SciPy's SLSQP from the same ray
+    seeds over y in [-700, 700]^{N-1}, with exact gradients, each result
+    bisected back onto the level when it misses it and scored, with its
+    seed, by the barrier objective."""
+    pin = pi_product(S, n)
+    logpin = np.log(pin)
+    N = pin.size
+
+    def rows(Qs):
+        return renyi_rows(Qs, pin, logpin, p / q) / n
+
+    def barrier(Q):
+        if rows(Q[None, :])[0] >= alpha - 1e-13:
+            return _objective(S, n, q, Q, pin)
+        return math.inf
+
+    perms = semigroup.automorphisms(S, n)
+    seeds = sobolev._ray_seeds(pin, rows, alpha,
+                               perms[perms[:, -1] == N - 1])
+    problem = polish_problem(S, n, q, ("renyi", p / q), level=alpha)
+
+    def grads(y):
+        return problem.derivatives(problem.point(y), 0.0)
+
+    best = math.inf
+    for s in seeds[:sobolev.MULTISTART]:
+        ls = np.log(np.maximum(s, 1e-300))
+        res = scipy_minimize(
+            lambda y: problem.point(y).f, ls[:-1] - ls[-1], method="SLSQP",
+            jac=lambda y: grads(y)[0], bounds=[(-700.0, 700.0)] * (N - 1),
+            constraints=[{"type": "ineq",
+                          "fun": lambda y: problem.point(y).c - alpha,
+                          "jac": lambda y: grads(y)[1]}],
+            options={"ftol": 1e-15, "maxiter": 200})
+        Q = _softmax_point(res.x)
+        if not math.isfinite(barrier(Q)):
+            corner = np.eye(N)[np.argmax(Q / pin)]
+            if rows(corner[None, :])[0] >= alpha:
+                Q = sobolev._level_crossing(Q, corner, rows, alpha)[0]
+        best = min(best, barrier(s), barrier(Q))
+    return best
+
+
+class TestSlsqpOracle:
+    @pytest.mark.parametrize("chain,n", [
+        ("binary", 2), ("binary", 3), ("K3", 2), ("weighted3", 2)])
+    def test_not_above_the_slsqp_polish(self, chain, n):
+        S = (validate_semigroup(WEIGHTED3) if chain == "weighted3"
+             else symmetric_chain(chain))
+        hi = -math.log(S.stationary.min())
+        for p, q in ((1, 2), (0.5, 1.5), (3, 2)):
+            for alpha in (0.3 * hi, 0.6 * hi):
+                assert (xi_pq_n(S, p, q, n, alpha)
+                        <= slsqp_value(S, p, q, n, alpha) * (1 + 1e-12))
 
 
 def bern(y):
