@@ -18,10 +18,16 @@ The size-constrained maximum over induced subgraphs,
 
     Lambda_q(m) = max { rho_q(G') : G' induced in G^n, |V'| <= m },
 
-is computed exactly by subset enumeration at desk scale, and bounded through
-the entropy curve of the chain generated by L = A - dI:
+is computed exactly at desk scale by a search over m-subsets, one per
+symmetry orbit where that pays, and bounded through the entropy curve of the
+chain generated by L = A - dI:
 
     Lambda_q(m) <= n (d - (q-1) conv Xi_q(alpha)),  alpha = ln|V| - ln(m)/n.
+
+As `faber_krahn_bound` computes it, that bound is best-found, not
+certified: the envelope is read off chords, which lie above a convex curve,
+and a sampled Xi_q is the least value the optimizer found, at or above the
+true one. Both pull the computed bound down.
 
 Note the unit-rate Laplacian convention: the single-edge graph generates the
 two-point chain at twice the half-rate normalization, so its curve is twice
@@ -35,7 +41,8 @@ from itertools import chain, combinations, islice
 
 import numpy as np
 
-from .semigroup import Semigroup, kronecker_sum, validate_semigroup
+from .semigroup import (Semigroup, automorphisms, kronecker_sum,
+                        validate_semigroup)
 
 INF = float("inf")
 
@@ -80,6 +87,14 @@ class Graph:
         deg = A.sum(axis=1)
         if not np.all(deg == deg[0]):
             raise GraphError("graph must be regular")
+
+    @classmethod
+    def _unchecked(cls, A):
+        """Wrap a float adjacency that is valid by construction, without
+        the dense checks; every outside `Graph(...)` is still checked."""
+        G = object.__new__(cls)
+        object.__setattr__(G, "adjacency", A)
+        return G
 
     @property
     def nvertices(self):
@@ -160,7 +175,10 @@ def cartesian_power(G: Graph, n: int) -> Graph:
     N = G.nvertices ** n
     if N > DENSE_VERTEX_BUDGET:
         raise GraphError("dense adjacency budget exceeded")
-    return Graph(kronecker_sum(G.adjacency, n))
+    # off the diagonal a Kronecker sum holds single entries of A, and on it
+    # sums of A's zero diagonal: symmetric, 0/1, zero-diagonal and
+    # (n d)-regular whenever G is, so the dense checks are not run again
+    return Graph._unchecked(kronecker_sum(G.adjacency, n))
 
 
 def _as_values(f):
@@ -313,15 +331,74 @@ class FaberKrahnResult:
     witness: tuple
 
 
+def _canonical_subsets(group, m):
+    """The lexicographically first member of every orbit of m-subsets under
+    the permutation rows of `group` (row 0 the identity), as index rows of
+    shape (orbits, m) in lexicographic order.
+
+    Orderly generation: a subset S with image weights
+    w_g(S) = sum_{v in S} 2^(N-1-g[v]) is first in its orbit when no image
+    outweighs it. Removing the largest vertex of such a set leaves one, so
+    each level extends the first (k-1)-sets by a vertex above their largest
+    and keeps what passes; rows stay in lexicographic order because parents
+    are taken in order and their extensions by increasing vertex.
+    """
+    N = group.shape[1]
+    # int32 holds every sum of distinct weights while N <= 31; the search
+    # caps N at 20
+    weight = np.left_shift(1, N - 1 - group.astype(np.int32)).T.copy()
+    rows = np.empty((1, 0), dtype=np.intp)
+    images = np.zeros((1, len(group)), dtype=np.int32)
+    vert = np.arange(N)
+    for k in range(1, m + 1):
+        last = rows[:, -1] if k > 1 else np.full(1, -1)
+        # a vertex above the largest, leaving room for the m - k still to come
+        parent, v = np.nonzero((vert > last[:, None])
+                               & (vert <= N - 1 - (m - k)))
+        images = images[parent]
+        images += weight[v]
+        first = images.max(axis=1) == images[:, 0]
+        rows = np.column_stack((rows[parent[first]], v[first]))
+        images = images[first]
+    return rows
+
+
+def _subset_chunks(G, n, N, m):
+    """Index rows of the m-subsets to score, SUBSET_CHUNK at a time, in
+    lexicographic order: every subset when one chunk holds them all or the
+    symmetry group of G^n is trivial, else one subset per orbit."""
+    total = math.comb(N, m)
+    if total > SUBSET_CHUNK:
+        group = automorphisms(graph_generator(G), n)
+        if len(group) > 1:
+            rows = _canonical_subsets(group, m)
+            for i in range(0, len(rows), SUBSET_CHUNK):
+                yield rows[i:i + SUBSET_CHUNK]
+            return
+    subsets = combinations(range(N), m)
+    for _ in range(0, total, SUBSET_CHUNK):
+        yield np.fromiter(chain.from_iterable(islice(subsets, SUBSET_CHUNK)),
+                          dtype=np.intp).reshape(-1, m)
+
+
 def faber_krahn_exact(G: Graph, n: int, q, m: int) -> FaberKrahnResult:
     """max rho_q over induced subgraphs of G^n with at most m vertices.
 
-    Exhaustive over supports of size exactly m: enlarging the support can
-    only increase the maximum of R_q. Enumeration is unrestricted;
-    connected-only enumeration is an optimization whose soundness for
-    general q is not settled here.
+    Exact over supports of size exactly m: enlarging the support can only
+    increase the maximum of R_q. Every m-subset is covered, up to symmetry.
+    Where the m-subsets fill more than one SUBSET_CHUNK and the group
+    `semigroup.automorphisms(graph_generator(G), n)` is nontrivial, only
+    the lexicographically first subset of each orbit is scored (see
+    `_canonical_subsets`): an automorphism maps an induced subgraph onto an
+    isomorphic one, so an orbit shares one rho_q. Within the group caps that
+    happens only at |V|^n = 16 (K2^4, K4^2, C4^2: 74 and 32 orbits of
+    12,870 8-subsets for the first two). Every other search takes all
+    m-subsets: where one chunk holds them, building the orbits costs more
+    than scoring every subset.
+    Connected-only enumeration is not used; its soundness for general q is
+    not settled here.
 
-    The m-subsets are taken in lexicographic order, SUBSET_CHUNK at a time,
+    The subsets are taken in lexicographic order, SUBSET_CHUNK at a time,
     and each chunk's induced submatrices are gathered into one stack. Subsets
     whose max induced degree does not beat the incumbent are pruned
     (rho_q <= max row sum for q in [1, inf]); the rest are scored by one
@@ -331,7 +408,11 @@ def faber_krahn_exact(G: Graph, n: int, q, m: int) -> FaberKrahnResult:
     `_fixed_point_radius`, within RADIUS_RTOL relative of the true value.
     The incumbent is then replayed subset by subset: the witness is the
     lexicographically first subset that beats the incumbent before it by more
-    than 1e-12, in degree bound and in value.
+    than 1e-12, in degree bound and in value. The orbit search keeps that
+    rule: the rest of an orbit comes after its first member and ties with it
+    up to rounding, so none of them can beat the incumbent by 1e-12 once the
+    first has been scored, and value and witness come out as from the full
+    search.
     """
     if q != 2 and not (1 <= q < INF):
         raise GraphError("requires q in [1, inf)")
@@ -345,10 +426,7 @@ def faber_krahn_exact(G: Graph, n: int, q, m: int) -> FaberKrahnResult:
     if m == 1:
         return FaberKrahnResult(0.0, (0,))
     best, wit = 0.0, tuple(range(m))
-    subsets = combinations(range(N), m)
-    for _ in range(0, math.comb(N, m), SUBSET_CHUNK):
-        idx = np.fromiter(chain.from_iterable(islice(subsets, SUBSET_CHUNK)),
-                          dtype=np.intp).reshape(-1, m)
+    for idx in _subset_chunks(G, n, N, m):
         sub = An[idx[:, :, None], idx[:, None, :]]
         deg = np.maximum.reduce(np.add.reduce(sub, axis=2), axis=1)
         live = np.nonzero(deg > best + 1e-12)[0]    # the degree bound passes
@@ -377,6 +455,14 @@ def faber_krahn_bound(d: int, q, conv_curve, n: int, m: int) -> float:
     The curve, a `sobolev.SampledCurve`, must come from the chain generated
     by L = A - dI on the base graph (uniform law), so |V| is read off the
     curve's alphabet size.
+
+    The value is a best-found bound, not a certified one. The envelope is
+    interpolated by chords, which lie above a convex curve, and a sampled
+    Xi_q is the least value the optimizer found, at or above the true one;
+    both pull the bound down. `rslab faber-krahn --graph hypercube --n 3
+    --q 2 --m 4 --bound` prints 2.27438674377 from its sampled 64-point
+    curve; the closed-form curve gives 2.27441092, and the exact maximum is
+    2.
     """
     if q <= 1:
         raise GraphError("bound defined for q > 1")

@@ -13,6 +13,7 @@ from rslab.graph_spectral import (
     Graph,
     GraphError,
     SubgraphView,
+    _canonical_subsets,
     _fixed_point_radius,
     cartesian_power,
     complete_graph,
@@ -27,7 +28,7 @@ from rslab.graph_spectral import (
     rayleigh_q,
     subgraph_q_radius,
 )
-from rslab.semigroup import as_function, dirichlet_form_raw
+from rslab.semigroup import as_function, automorphisms, dirichlet_form_raw
 from rslab.sobolev import (
     SampledCurve,
     conv_envelope,
@@ -106,6 +107,18 @@ class TestBuildersAndIO:
                 else:
                     near = False
                 assert H.adjacency[x, y] == (1.0 if near else 0.0)
+        # cartesian_power skips Graph's dense checks, so the four invariants
+        # must hold by construction
+        for base in (complete_graph(2), complete_graph(3), cycle_graph(4),
+                     Graph(np.zeros((2, 2)))):
+            d = base.degree
+            for n in range(1, 5):
+                A = cartesian_power(base, n).adjacency
+                assert A.shape == (base.nvertices ** n,) * 2
+                assert np.array_equal(A, A.T)
+                assert not np.diag(A).any()
+                assert np.all((A == 0) | (A == 1))
+                assert np.all(A.sum(axis=1) == n * d)
 
     def test_cartesian_power_matches_cube(self):
         A = cartesian_power(complete_graph(2), 3).adjacency
@@ -426,6 +439,63 @@ def per_subset_faber_krahn(G, n, q, m):
         if val > best + 1e-12:
             best, wit = val, subset
     return FaberKrahnResult(best, wit)
+
+
+def brute_force_faber_krahn(G, n, q, m):
+    """Every m-subset scored on its own, with no pruning, chunks or orbits,
+    then "first to beat the incumbent by 1e-12" replayed in lexicographic
+    order. At q = 2 one `eigvalsh` call takes the whole stack, which LAPACK
+    solves matrix by matrix; otherwise `q_radius` runs once per subset."""
+    An = cartesian_power(G, n).adjacency
+    if m == 1:
+        return FaberKrahnResult(0.0, (0,))
+    idx = np.array(list(combinations(range(An.shape[0]), m)))
+    subs = An[idx[:, :, None], idx[:, None, :]]
+    scores = (np.linalg.eigvalsh(subs)[:, -1] if q == 2
+              else [q_radius(sub, q) for sub in subs])
+    best, wit = 0.0, tuple(range(m))
+    for row, val in zip(idx, scores):
+        if val > best + 1e-12:
+            best, wit = float(val), tuple(row.tolist())
+    return FaberKrahnResult(best, wit)
+
+
+SIXTEEN_VERTEX_POWERS = pytest.mark.parametrize(
+    "G, n", [(complete_graph(2), 4), (complete_graph(4), 2),
+             (cycle_graph(4), 2)], ids=["K2^4", "K4^2", "C4^2"])
+
+
+@SIXTEEN_VERTEX_POWERS
+def test_canonical_subsets_are_the_orbit_firsts(G, n):
+    # every subset of the 16 vertices as a bitmask, vertex 0 the top bit, so
+    # the larger mask of two equal-size subsets is the lexicographically
+    # first; a subset is first in its orbit when no image has a larger mask
+    group = automorphisms(graph_generator(G), n)
+    N = group.shape[1]
+    masks = np.arange(1 << N)
+    member = (masks[:, None] >> np.arange(N - 1, -1, -1)) & 1
+    top = np.zeros(1 << N)
+    for g in np.array_split(group, -(-len(group) // 64)):
+        # float products: every mask is below 2^16, exact in a double
+        top = np.maximum(top, (member @ 2.0 ** (N - 1 - g.T)).max(axis=1))
+    first, size = top == masks, member.sum(axis=1)
+    for m in range(1, N + 1):
+        want = sorted(tuple(np.flatnonzero(member[x]).tolist())
+                      for x in np.flatnonzero(first & (size == m)))
+        assert [tuple(r) for r in _canonical_subsets(group, m).tolist()] \
+            == want, m
+
+
+@SIXTEEN_VERTEX_POWERS
+def test_faber_krahn_matches_brute_force(G, n):
+    # 16 vertices: the sizes 3 <= m <= 13 fill more than one chunk and take
+    # the orbit search; m > 8 and the cycle base are covered too
+    for q, ms in ((2, range(1, 17)), (1.5, (4, 12))):
+        for m in ms:
+            got = faber_krahn_exact(G, n, q, m)
+            want = brute_force_faber_krahn(G, n, q, m)
+            assert repr(got.value) == repr(want.value), (q, m)
+            assert got.witness == want.witness, (q, m)
 
 
 def prism_plus_k4():
