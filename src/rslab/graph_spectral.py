@@ -334,7 +334,9 @@ class FaberKrahnResult:
 def _canonical_subsets(group, m):
     """The lexicographically first member of every orbit of m-subsets under
     the permutation rows of `group` (row 0 the identity), as index rows of
-    shape (orbits, m) in lexicographic order.
+    shape (orbits, m) in lexicographic order. Both searches over m-subsets
+    take their orbits from here: `faber_krahn_exact` and the p = 0 support
+    faces of `sobolev.xi_pq_n`.
 
     Orderly generation: a subset S with image weights
     w_g(S) = sum_{v in S} 2^(N-1-g[v]) is first in its orbit when no image
@@ -349,16 +351,15 @@ def _canonical_subsets(group, m):
     weight = np.left_shift(1, N - 1 - group.astype(np.int32)).T.copy()
     rows = np.empty((1, 0), dtype=np.intp)
     images = np.zeros((1, len(group)), dtype=np.int32)
-    vert = np.arange(N)
+    vert, last = np.arange(N), np.full(1, -1)
     for k in range(1, m + 1):
-        last = rows[:, -1] if k > 1 else np.full(1, -1)
         # a vertex above the largest, leaving room for the m - k still to come
-        parent, v = np.nonzero((vert > last[:, None])
-                               & (vert <= N - 1 - (m - k)))
+        parent, v = np.nonzero(vert[:N - (m - k)] > last[:, None])
         images = images[parent]
         images += weight[v]
         first = images.max(axis=1) == images[:, 0]
-        rows = np.column_stack((rows[parent[first]], v[first]))
+        last = v[first]
+        rows = np.concatenate((rows[parent[first]], last[:, None]), axis=1)
         images = images[first]
     return rows
 
@@ -394,7 +395,8 @@ def faber_krahn_exact(G: Graph, n: int, q, m: int) -> FaberKrahnResult:
     happens only at |V|^n = 16 (K2^4, K4^2, C4^2: 74 and 32 orbits of
     12,870 8-subsets for the first two). Every other search takes all
     m-subsets: where one chunk holds them, building the orbits costs more
-    than scoring every subset.
+    than scoring every subset. `sobolev.xi_pq_n` takes its p = 0 support
+    faces from the same generator, with no all-subsets path.
     Connected-only enumeration is not used; its soundness for general q is
     not settled here.
 

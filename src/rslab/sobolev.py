@@ -33,7 +33,9 @@ Objective and constraint are invariant under every permutation of X^n that
 preserves L_n and pi^n; `semigroup.automorphisms` gives the group
 Aut(L, pi) wr S_n. The two enumerators search one member per orbit, under
 different groups. Support faces are reduced by the whole group, which maps
-each face onto one of equal minimum. Rays are reduced only by the
+each face onto one of equal minimum: the lexicographically first face of
+each orbit is solved, from `graph_spectral._canonical_subsets`, the
+orderly generator the Faber-Krahn search uses. Rays are reduced only by the
 stabilizer of state N - 1, and only on orbits where it acts freely. The
 polish runs in y = ln(Q/Q_last), and a Newton iteration in y is
 equivariant under the permutations that fix the reference state, which
@@ -48,8 +50,8 @@ Each polish works on one dense problem (`_Polish`): with M = diag(pi^n) L_n
 from `semigroup.kronecker_sum`, objective and constraint are closed forms
 in z = ln Q, and one pass over y gives both values; their gradients and
 Hessians in y come only at accepted points. Seeds and re-scores take the
-value from `_objective`, on the row u through `semigroup.generator_rows`,
-and the divergence from `entropy.renyi_rows`, so every reported value is
+value from `_objective`, through `semigroup.dirichlet_rows`, and the
+divergence from `entropy.renyi_rows`, so every reported value is
 scored apart from the polish's own closed forms.
 
 The two-point chain admits a closed form (binary_xi_q) used as an oracle, in
@@ -77,14 +79,14 @@ from itertools import combinations
 import numpy as np
 
 from .entropy import _logsumexp, renyi_divergence, renyi_rows
-from .graph_spectral import _fixed_point_radius
+from .graph_spectral import _canonical_subsets, _fixed_point_radius
 from .semigroup import (
     ENUMERATION_BUDGET,
     NonnegFunction,
     Semigroup,
     SemigroupError,
     automorphisms,
-    generator_rows,
+    dirichlet_rows,
     kronecker_sum,
     pi_product,
 )
@@ -293,8 +295,8 @@ def _objective(S: Semigroup, n, q, Q, pin):
     zero.
 
     F is -<pi^n, L u . v>/(q-1) on the rows u = D^{1/q}, v = D^{1/q'}, and
-    -<pi^n, L D . ln D> at q = 1 and <pi^n, L D . (1/D)> at q = 0; only the
-    row u goes through the generator.
+    -<pi^n, L D . ln D> at q = 1 and <pi^n, L D . (1/D)> at q = 0, all
+    through `semigroup.dirichlet_rows`.
     """
     D = Q / pin
     if q <= 1 and not np.all(D > 0):
@@ -309,9 +311,8 @@ def _objective(S: Semigroup, n, q, Q, pin):
         else:
             qp = q / (q - 1.0)
             A, B = D ** (1.0 / q), D ** (1.0 / qp)
-        LU = generator_rows(S, A[None, :], n)
-        E = -np.einsum("x,rx,rx->r", pin, LU, B[None, :])[0]
-        val = E if q == 1 else -E if q == 0 else E / (q - 1.0)
+        E = dirichlet_rows(S, A[None, :], B[None, :], n, pin)[0]
+        val = E if q == 1 else E / (q - 1.0)
     return float(val)
 
 
@@ -343,13 +344,6 @@ def _level_crossing(out, inside, constraint_rows, level, halvings=60):
         feas = feas[:, None]
         lo, hi = np.where(feas, lo, mid), np.where(feas, mid, hi)
     return (1 - hi) * out + hi * inside
-
-
-def _orbit_firsts(images):
-    """Positions of the first member of each orbit, in list order. Row i
-    holds the images of element i under every element of a group, as
-    comparable keys; its orbit is named by the least of them."""
-    return np.sort(np.unique(images.min(axis=1), return_index=True)[1])
 
 
 def _ray_seeds(origin, constraint_rows, level, symmetries):
@@ -384,7 +378,7 @@ def _ray_seeds(origin, constraint_rows, level, symmetries):
         images = symmetries.T                       # image corners
     ordered = np.sort(images, axis=1)
     keep = np.any(ordered[:, 1:] == ordered[:, :-1], axis=1)
-    keep[_orbit_firsts(images)] = True
+    keep[np.unique(images.min(axis=1), return_index=True)[1]] = True
     member = member[keep]
     targets = member / member.sum(axis=1, keepdims=True)
     targets = targets[constraint_rows(targets) >= level]
@@ -494,7 +488,7 @@ class _Polish:
                 A = np.exp(ld[:, None] * self.powers)
                 MA = self.M @ A
                 E = A[:, 1] @ MA[:, 0]
-            f = E if q == 0 else E / (1.0 - q)
+            f = E / (1.0 - q)
         aux = None
         if kind == "state":
             c = ld[self.at] / n
@@ -902,20 +896,6 @@ def sample_xi_curve(S, q, size=64):
     return SampledCurve(grid, vals, "xi_q", q, nstates=S.nstates)
 
 
-def _support_masks(N, max_mass, pin):
-    """Maximal supports of pi-mass <= max_mass for a uniform pi, as the rows
-    of a boolean (faces, N) membership matrix in increasing bitmask order:
-    every m-subset of the N states, m the most states that fit."""
-    m = int(np.count_nonzero(np.cumsum(pin) <= max_mass + 1e-12))
-    # the cap counts every admissible subset, not only the maximal ones
-    if sum(math.comb(N, k) for k in range(1, m + 1)) > 4096:
-        raise SobolevError("support enumeration too large at this alpha")
-    faces = combinations(range(N), m) if m else ()    # the empty set is none
-    bits = np.array(sorted(sum(1 << i for i in f) for f in faces),
-                    dtype=np.int64)
-    return (bits[:, None] >> np.arange(N)) & 1 == 1
-
-
 def _face_minimum(Ln, face, q):
     """Minimum of the p = 0 objective over distributions Q on `face`, and a
     minimizer on X^n; pi is uniform and Ln is the dense n-letter generator.
@@ -955,6 +935,11 @@ def xi_pq_n(S: Semigroup, p, q, n, alpha, return_witness=False):
     the constraint only bounds the support mass by e^{-n alpha}, so with pi
     uniform the maximal supports are the m-subsets of X^n, m the most states
     that fit (q > 1 only: the limit objectives blow up on proper faces).
+    A symmetry of the chain maps each face onto one of equal minimum, so
+    only the lexicographically first m-subset of each orbit of
+    `semigroup.automorphisms` is solved (`graph_spectral._canonical_subsets`,
+    which never lists all C(N, m) subsets); among those, the first face of
+    least value gives the witness.
     Each face minimum is an exact q-radius problem (`_face_minimum`): the
     q-radius loop brackets rho_q to RADIUS_RTOL relative or raises
     ConvergenceError. The value (c - rho_q)/(q - 1) taken at the bracket's
@@ -986,14 +971,14 @@ def xi_pq_n(S: Semigroup, p, q, n, alpha, return_witness=False):
             raise SobolevError("support enumeration capped at |X|^n <= 16")
         if np.any(S.stationary != S.stationary[0]):
             raise SobolevError("support route requires a uniform pi")
-        # every symmetry of the chain maps a face problem onto an equal
-        # one, so one face per orbit of the whole group is solved; among
-        # those, the first face of least value wins ties
+        m = int(np.count_nonzero(np.cumsum(pin)
+                                 <= math.exp(-n * alpha) + 1e-12))
+        # the cap counts every admissible subset, not only the maximal ones
+        if sum(math.comb(N, k) for k in range(1, m + 1)) > 4096:
+            raise SobolevError("support enumeration too large at this alpha")
         Ln = kronecker_sum(S.generator, n)
-        member = _support_masks(N, math.exp(-n * alpha), pin)
-        images = member @ np.exp2(automorphisms(S, n).T)   # image bitmasks
-        val, Q = min((_face_minimum(Ln, np.flatnonzero(member[i]), q)
-                      for i in _orbit_firsts(images)),
+        val, Q = min((_face_minimum(Ln, face, q)
+                      for face in _canonical_subsets(automorphisms(S, n), m)),
                      key=lambda c: c[0])
         val = val / n
         return (val, Q) if return_witness else val

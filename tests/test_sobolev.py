@@ -12,7 +12,7 @@ from scipy.optimize import minimize as scipy_minimize
 from scipy.optimize import minimize_scalar
 
 from rslab import semigroup, sobolev
-from rslab.entropy import renyi_rows
+from rslab.entropy import renyi_divergence, renyi_rows
 from rslab.graph_spectral import ConvergenceError, _fixed_point_radius
 from rslab.semigroup import (
     Semigroup,
@@ -27,7 +27,6 @@ from rslab.sobolev import (
     _logvar_rows,
     _objective,
     _softmax_point,
-    _support_masks,
     ExtremalSpec,
     SampledCurve,
     SobolevError,
@@ -437,8 +436,7 @@ class TestXiPqN:
         for m in range(2, min(3, N - 1) + 1):
             alpha = -math.log(m / N) / n
             faces = {min(f, tuple(sorted(rev[list(f)].tolist())))
-                     for f in (tuple(np.flatnonzero(row).tolist())
-                               for row in _support_masks(N, m / N, pin))}
+                     for f in combinations(range(N), m)}
             oracle = {q: math.inf for q in (1.25, 1.5, 3.0, 5.0)}
             for face in faces:
                 grid = simplex_grid(len(face), 1.0 / 400)
@@ -512,22 +510,6 @@ class TestXiPqN:
                       np.array([0.2, 0.8]))
         with pytest.raises(SobolevError, match="uniform"):
             xi_pq_n(S, 0, 2, 1, 0.5)
-
-    @pytest.mark.parametrize("N", [4, 8])
-    def test_support_masks_match_brute_force(self, N):
-        # every admissible subset of a uniform pi, kept when no admissible
-        # set strictly contains it, in increasing bitmask order
-        pin = np.full(N, 1.0 / N)
-        for max_mass in (0.2, 0.45, 0.7):
-            ok = [b for b in range(1, 1 << N)
-                  if sum(pin[i] for i in range(N) if b >> i & 1)
-                  <= max_mass + 1e-12]
-            want = [b for b in ok if not any(b != c and b & c == b
-                                             for c in ok)]
-            got = _support_masks(N, max_mass, pin)
-            assert got.dtype == bool and got.shape == (len(want), N)
-            assert [sum(1 << int(i) for i in np.flatnonzero(row))
-                    for row in got] == want
 
     def test_rays_reduced_only_by_the_reference_state_stabilizer(self):
         # The polish runs in y = ln(Q/Q_last), so it is equivariant only
@@ -611,6 +593,63 @@ class TestOrbitReduction:
         monkeypatch.setattr(sobolev, "automorphisms", trivial_group)
         for r, q in zip(reduced, (1.5, 2, 3)):
             assert r <= xi_pq_n(S, 0, q, n, alpha) * (1 + 1e-12)
+
+
+class TestXiPqNWitness:
+    """Every xi_pq_n witness is a distribution on X^n that meets the level
+    and re-scores, through the Gamma reference `semigroup.dirichlet_form`,
+    to the reported value."""
+
+    @staticmethod
+    def check(S, p, q, n, alpha):
+        val, Q = xi_pq_n(S, p, q, n, alpha, return_witness=True)
+        pin = pi_product(S, n)
+        assert Q.shape == pin.shape and np.all(Q >= 0)
+        assert Q.sum() == pytest.approx(1.0, abs=1e-12)
+        if p == 0:
+            # the support mass is at most e^{-n alpha}
+            assert pin[Q > 0].sum() <= math.exp(-n * alpha) + 1e-12
+        else:
+            assert renyi_divergence(Q, pin, p / q) / n >= alpha - 1e-12
+        D = Q / pin
+        u, v = (semigroup.NonnegFunction(D ** e, S.nstates, n)
+                for e in (1.0 / q, 1.0 - 1.0 / q))
+        score = semigroup.dirichlet_form(S, u, v) / ((q - 1.0) * n)
+        assert score == pytest.approx(val, rel=1e-9)
+        return val, Q
+
+    @pytest.mark.parametrize("chain,n", [
+        ("binary", 2), ("K3", 2), ("K4", 1), ("weighted3", 1),
+        ("weighted3", 2)])
+    def test_support_witness(self, monkeypatch, chain, n):
+        S = (validate_semigroup(WEIGHTED3) if chain == "weighted3"
+             else symmetric_chain(chain))
+        N = S.nstates ** n
+        group = semigroup.automorphisms(S, n)
+        calls = [(m, q) for m in range(2, N) for q in (1.5, 2, 3)]
+        reduced = []
+        for m, q in calls:
+            val, Q = self.check(S, 0, q, n, math.log(N / m) / n)
+            assert np.count_nonzero(Q) <= m
+            reduced.append((val, Q))
+        # the search over every face ends on an image of the reduced
+        # witness: an orbit's face problems agree up to the order of their
+        # arithmetic, so the image agrees to rounding
+        monkeypatch.setattr(sobolev, "automorphisms", trivial_group)
+        for (m, q), (val, Q) in zip(calls, reduced):
+            full, Qf = xi_pq_n(S, 0, q, n, math.log(N / m) / n,
+                               return_witness=True)
+            assert full == pytest.approx(val, rel=1e-12)
+            assert min(np.abs(Qf[g] - Q).max() for g in group) <= 1e-12
+
+    @pytest.mark.parametrize("p", [0.5, 1, 2, math.inf])
+    @pytest.mark.parametrize("chain", ["binary", "K3"])
+    def test_polish_witness(self, chain, p):
+        S = symmetric_chain(chain)
+        hi = -math.log(S.stationary.min())
+        for q in (0.8, 1.5, 2, 3):
+            for f in (0.3, 0.7):
+                self.check(S, p, q, 2, f * hi)
 
 
 @st.composite
