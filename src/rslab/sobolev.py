@@ -18,12 +18,15 @@ and the n-letter two-parameter version
 Under a constraint, reported values are best-found upper bounds on the
 infimum. The starts are the points where the rays from pi toward the
 barycenters of the simplex's proper faces (every face on up to four states,
-the corners beyond) cross the constraint boundary, found by bisection
-(convexity of the divergence in Q makes each ray cross it exactly once),
-and for n >= 2 the product laws on the boundary. Each is polished by an
-in-repo Newton-KKT (SQP) method for the one divergence constraint
-(`minimize`), with an active set for the faces where optima sit at q > 1;
-xi_q at q > 0 is xi_pq_n at p = q, n = 1.
+the corners beyond) cross the constraint boundary, found by a bracketed
+secant root-find (`_level_crossing`), and for n >= 2 the product laws on
+the boundary. Each ray crosses the boundary once: the divergence is 0 at pi
+and quasi-convex in Q, so nondecreasing along every ray from pi, at every
+order (it is not convex in Q above order 1); so is the log-variance, whose
+derivative along a ray is a covariance of two increasing functions of
+Q/pi. Each start is polished by an in-repo Newton-KKT (SQP) method for the
+one divergence constraint (`minimize`), with an active set for the faces
+where optima sit at q > 1; xi_q at q > 0 is xi_pq_n at p = q, n = 1.
 
 At p = 0 the constraint only bounds the support. With pi uniform each
 support face is then an exact q-radius problem, solved by the certified
@@ -323,27 +326,59 @@ def _logvar_rows(Qs, pin, logpin):
     ok = np.all(Qs > 0, axis=1)
     if np.any(ok):
         # one (1, N) @ (N,) product per row, so that a row's value does not
-        # depend on the batch it comes in (the ray bisection batches rows)
+        # depend on the batch it comes in (the ray crossings evaluate the
+        # rows they have not finished)
         logd = (np.log(Qs[ok]) - logpin)[:, None, :]
         mean = logd @ pin
         out[ok] = 0.5 * (((logd - mean[:, :, None]) ** 2) @ pin)[:, 0]
     return out
 
 
-def _level_crossing(out, inside, constraint_rows, level, halvings=60):
-    """Bisect (1-t) out + t inside_i for each row inside_i, from an infeasible
-    to a feasible point, to the constraint boundary; the just-feasible points
-    are returned as rows."""
+def _level_crossing(out, inside, constraint_rows, level):
+    """The points (1-t) out + t inside_i on the level, one for each row
+    inside_i, from an infeasible point out to feasible rows, as rows.
+
+    Each t is found by the bracketed secant (Illinois) rule of Dowell and
+    Jarratt (BIT 11, 1971) on [lo, hi], where lo misses the level and hi
+    meets it: the secant point replaces the end whose side it falls on, the
+    value kept at the other end is halved when that end stays twice in a
+    row, and the midpoint stands in for a secant point that does not fall
+    strictly inside. hi moves only to points that meet the level, so every
+    returned row meets it; a row stops when lo and hi are adjacent floats,
+    so the float below its t misses the level. Only unfinished rows are
+    evaluated, so constraint_rows must give a row the same bits alone as in
+    any batch.
+    """
     inside = np.atleast_2d(inside)
-    lo, hi = np.zeros((inside.shape[0], 1)), np.ones((inside.shape[0], 1))
-    for _ in range(halvings):
-        mid = 0.5 * (lo + hi)
-        if np.all((mid == lo) | (mid == hi)):
-            break       # no float left between: further halvings keep hi
-        feas = constraint_rows((1 - mid) * out + mid * inside) >= level
-        feas = feas[:, None]
-        lo, hi = np.where(feas, lo, mid), np.where(feas, mid, hi)
-    return (1 - hi) * out + hi * inside
+    out = np.broadcast_to(out, inside.shape)
+    k = inside.shape[0]
+    ends = constraint_rows(np.concatenate((out, inside))) - level
+    hi = np.where(ends[:k] >= 0, 0.0, 1.0)      # out may already meet it
+    # the unfinished rows, their ends lo < h, the values there, and which
+    # end moved last (+1 h, -1 lo)
+    rows = np.flatnonzero((ends[:k] < 0) & (ends[k:] >= 0))
+    a, b = out[rows], inside[rows]
+    gl, gh = ends[:k][rows], ends[k:][rows]
+    lo, h, kept = np.zeros(rows.size), np.ones(rows.size), np.zeros(rows.size)
+    while rows.size:
+        with np.errstate(invalid="ignore"):     # inf at a face: bisect
+            t = h - gh * ((h - lo) / (gh - gl))
+        t = np.where((lo < t) & (t < h), t, 0.5 * (lo + h))
+        live = (lo < t) & (t < h)
+        if not live.all():
+            hi[rows[~live]] = h[~live]
+            rows, a, b, lo, h, gl, gh, kept, t = (
+                x[live] for x in (rows, a, b, lo, h, gl, gh, kept, t))
+            if not rows.size:
+                break
+        g = constraint_rows((1 - t[:, None]) * a + t[:, None] * b) - level
+        up = g >= 0
+        step = np.where(up, 1.0, -1.0)
+        halve = np.where(kept == step, 0.5, 1.0)
+        h, gh = np.where(up, t, h), np.where(up, g, halve * gh)
+        lo, gl = np.where(up, lo, t), np.where(up, halve * gl, g)
+        kept = step
+    return (1 - hi[:, None]) * out + hi[:, None] * inside
 
 
 def _ray_seeds(origin, constraint_rows, level, symmetries):
@@ -353,9 +388,9 @@ def _ray_seeds(origin, constraint_rows, level, symmetries):
 
     Optima can sit inside a face rather than at a corner (K4 at q = 0 splits
     its mass 2-2), and the ray to that face's barycenter starts the polish
-    there. The divergence constraints are convex in Q with value 0 at pi, so
-    each ray crosses the level set at most once; all rays are bisected
-    together.
+    there. The constraints are 0 at pi and nondecreasing along each ray from
+    it (see the module docstring), so each ray crosses the level set at
+    most once; all rays go to `_level_crossing` together.
 
     symmetries holds index permutations of the k states, as rows, that fix
     origin, the problem and the polish (`_optimize_density`). A face that
@@ -388,8 +423,8 @@ def _ray_seeds(origin, constraint_rows, level, symmetries):
 def _product_seeds(S, n, gamma, level):
     """The product laws P^{(x)n}, P = (1-t) pi + t delta_z, on the level, one
     for each letter z whose point mass reaches it. The Renyi divergence
-    tensorizes, D_g(P^{(x)n} || pi^n) = n D_g(P || pi), so t is bisected on
-    the single letters."""
+    tensorizes, D_g(P^{(x)n} || pi^n) = n D_g(P || pi), so t is found on
+    the single letters (`_level_crossing`)."""
     pi = S.stationary
     logpi = np.log(pi)
 
@@ -398,10 +433,8 @@ def _product_seeds(S, n, gamma, level):
 
     corners = np.eye(pi.size)
     seeds = []
-    # a seed need only be feasible and near the level, where the polish
-    # starts: 30 halvings put it within 2^-30 of it in t
     for P in _level_crossing(pi, corners[rows(corners) >= level], rows,
-                             level, halvings=30):
+                             level):
         Pn = P
         for _ in range(n - 1):
             Pn = np.multiply.outer(Pn, P).ravel()
@@ -437,18 +470,32 @@ class _Polish:
     and the constraint is (1/n) D_gamma(Q || pi^n) (`kind` "renyi"), the
     smooth piece (1/n) ln(Q_x/pi_x) of the order-infinity divergence at one
     state x ("state"), or Var_pi(ln D)/2 at q = 0 ("logvar"). `point` gives
-    both values from one pass over y, with one product M [a, b]; only at an
-    accepted point does `derivatives` chain their gradients and Hessians in
-    z to y through dz/dy = I - 1 Q^T. Every `point` is one dense evaluation,
-    counted in `evals`.
+    both values, as floats, from one pass over y, with one product M [a, b];
+    only at an accepted point does `derivatives` take their gradients and
+    the Lagrangian's Hessian. Every `point` is one dense evaluation, counted
+    in `evals`.
     """
 
     def __init__(self, M, pin, q, n, constraint, level, support):
         self.full_M, self.full_pin = M, pin
         self.q, self.n, self.level = q, n, level
         self.kind, self.order = constraint
-        self.powers = np.array((1.0, -1.0) if q == 0
-                               else (1.0 / q, 1.0 - 1.0 / q))
+        s, t = (1.0, -1.0) if q == 0 else (1.0 / q, 1.0 - 1.0 / q)
+        self.powers = np.array((s, t))
+        # F = k b.Ma has z-gradient k (a' Mb + b' Ma) and z-Hessian
+        # k M o (a' b'^T + b' a'^T) + k diag(a'' Mb + b'' Ma), ' the
+        # derivative in z: a' = s a, a'' = s^2 a, b' = t b, b'' = t^2 b for
+        # the powers, and a' = a'' = a, b' = 1, b'' = 0 at q = 1. With X =
+        # [a Mb, b Ma] (b Ma read as Ma at q = 1) the gradient is X @ grad,
+        # the diagonal term X @ curv, and the first term pair M o (a b^T +
+        # b a^T) (a 1^T + 1 a^T at q = 1)
+        if q == 1:
+            self.pair, grad, curv = -1.0, (-1.0, -1.0), (-1.0, 0.0)
+        else:
+            k = 1.0 / (1.0 - q)
+            self.pair = k * s * t
+            grad, curv = (k * s, k * t), (k * s * s, k * t * t)
+        self.grad, self.curv = np.array(grad), np.array(curv)
         self.evals = 0
         self.restrict(support)
 
@@ -456,10 +503,14 @@ class _Polish:
         """Continue on the face of the given states (ascending indices)."""
         self.support = support
         self.M = self.full_M[np.ix_(support, support)]
+        self.kM = self.pair * self.M
         self.pin = self.full_pin[support]
         self.logpin = np.log(self.pin)
+        self.columns = np.eye(support.size)[:, :-1]
         if self.kind == "state":
             self.at = int(np.searchsorted(support, self.order))
+        elif self.kind == "renyi":
+            self.tilt = (1.0 - self.order) * self.logpin
 
     def point(self, y):
         """Objective and constraint at y, with what `derivatives` needs
@@ -474,13 +525,14 @@ class _Polish:
         Q = w / total
         ld = z - self.logpin
         if q == 1:
-            A = np.stack([np.exp(ld), ld], axis=1)
+            A = np.empty((ld.size, 2))
+            A[:, 0], A[:, 1] = np.exp(ld), ld
             MA = self.M @ A
-            f = -(A[:, 1] @ MA[:, 0])
+            f = -float(A[:, 1] @ MA[:, 0])
         elif q > 1:
             A = np.exp(ld[:, None] * self.powers)
             MA = self.M @ A
-            f = (A[:, 1] @ MA[:, 0]) / (1.0 - q)
+            f = float(A[:, 1] @ MA[:, 0]) / (1.0 - q)
         else:
             # below q = 1 the row b is a negative power of D, which
             # overflows to the infinite value the objective has near a face
@@ -488,21 +540,21 @@ class _Polish:
                 A = np.exp(ld[:, None] * self.powers)
                 MA = self.M @ A
                 E = A[:, 1] @ MA[:, 0]
-            f = E / (1.0 - q)
+            f = float(E) / (1.0 - q)
         aux = None
         if kind == "state":
-            c = ld[self.at] / n
+            c = float(ld[self.at]) / n
         elif kind == "logvar":
             aux = ld - self.pin @ ld
-            c = 0.5 * (self.pin @ (aux * aux))
+            c = 0.5 * float(self.pin @ (aux * aux))
         elif gamma == 1:
-            c = (Q @ ld) / n
+            c = float(Q @ ld) / n
         else:
-            e = gamma * z + (1.0 - gamma) * self.logpin
+            e = gamma * z + self.tilt
             top = e.max()
             w = np.exp(e - top)
             total = w.sum()
-            c = (top + math.log(total)) / ((gamma - 1.0) * n)
+            c = (float(top) + math.log(total)) / ((gamma - 1.0) * n)
             aux = w / total
         return _Point(y, f, c, Q, ld, A, MA, aux)
 
@@ -512,73 +564,66 @@ class _Polish:
         lam None, lam is the least-squares multiplier max(0, a.g/|a|^2);
         a given lam is capped at LAM_GROWTH times that plus 1, so that a
         multiplier carried from step to step cannot run away where |a| is
-        small."""
-        q, n, M, Q = self.q, self.n, self.M, pt.Q
-        (ra, rb), (Ma, Mb) = pt.A.T, pt.MA.T
-        diag = slice(None, None, Q.size + 1)
-        if q == 1:
-            g = -(Ma + ra * Mb)
-            W = M * np.add.outer(ra, ra)
-            W.flat[diag] += ra * Mb
-            W = -W
-        elif q == 0:
-            g = ra * Mb - rb * Ma
-            P = np.outer(rb, ra)
-            W = M * -(P + P.T)
-            W.flat[diag] += rb * Ma + ra * Mb
-        else:
-            s, t = self.powers
-            g = -(s * ra * Mb + t * rb * Ma) / (q - 1.0)
-            P = np.outer(ra, rb)
-            W = (s * t / (1.0 - q)) * M * (P + P.T)
-            W.flat[diag] -= (s * s * ra * Mb + t * t * rb * Ma) / (q - 1.0)
+        small.
+
+        With J = dz/dy = I - 1 Q^T (the reference column dropped), the
+        gradients are J^T times those in z, and W = J^T (H - s diag Q) J,
+        with H the Lagrangian's Hessian in z and s the sum of its gradient
+        in z: the Hessian of each z_i in y is -(diag Q - Q Q^T) on the y
+        coordinates, which is J^T (diag Q - Q Q^T) J, and J^T Q = 0.
+        """
+        n, Q, ld, aux = self.n, pt.Q, pt.ld, pt.aux
+        ra, rb = pt.A.T
+        X = pt.A * pt.MA[:, ::-1]           # a Mb, b Ma
+        if self.q == 1:
+            X[:, 1] = pt.MA[:, 0]           # b' = 1
+        g, diag = X @ self.grad, X @ self.curv
+        # the constraint's gradient a in z, and its Hessian in z,
+        # diag(cd) + rho r r^T
         kind, gamma = self.kind, self.order
+        cd = r = None
         if kind == "state":
             a = np.zeros(Q.size)
             a[self.at] = 1.0 / n
         elif kind == "logvar":
-            a = self.pin * pt.aux
+            a = self.pin * aux
+            cd, r, rho = self.pin, self.pin, -1.0
         elif gamma == 1:
-            a = Q * (pt.ld + 1.0) / n
+            a = Q * (ld + 1.0) / n
+            cd = Q * (ld + 2.0) / n
         else:
-            a = (gamma / ((gamma - 1.0) * n)) * pt.aux
-        gy, ay = (g - g.sum() * Q)[:-1], (a - a.sum() * Q)[:-1]
+            k = gamma / ((gamma - 1.0) * n)
+            a = k * aux
+            cd, r, rho = gamma * a, aux, -gamma * k
+        J = self.columns - Q[:-1]
+        gy, ay = g @ J, a @ J
         aa = ay @ ay
         least = max(0.0, (ay @ gy) / aa) if aa > 0 else 0.0
         lam = least if lam is None else min(lam, LAM_GROWTH * (least + 1.0))
-        # W -= lam C, C the constraint's Hessian in z
-        if lam and kind == "logvar":
-            W += lam * np.outer(self.pin, self.pin)
-            W.flat[diag] -= lam * self.pin
-        elif lam and kind == "renyi" and gamma == 1:
-            W.flat[diag] -= (lam / n) * Q * (pt.ld + 2.0)
-        elif lam and kind == "renyi":
-            k = lam * gamma * gamma / ((gamma - 1.0) * n)
-            W += k * np.outer(pt.aux, pt.aux)
-            W.flat[diag] -= k * pt.aux
-        return gy, ay, _chain_hessian(W, g - lam * a, Q), lam
+        if self.q == 1:
+            H = ra[:, None] + ra
+        else:
+            H = ra[:, None] * rb
+            H += H.T
+        H *= self.kM
+        if lam and cd is not None:
+            diag -= lam * cd
+        diag -= (g.sum() - lam * a.sum()) * Q
+        H.reshape(-1)[::Q.size + 1] += diag
+        if lam and r is not None:
+            H -= r[:, None] * ((lam * rho) * r)
+        return gy, ay, J.T @ H @ J, lam
 
 
-def _chain_hessian(H, g, Q):
-    """Hessian in y of a function of z = ln softmax(y, 0) from its gradient
-    g and Hessian H in z: J^T H J - (sum g)(diag Q - Q Q^T), J = I - 1 Q^T,
-    the reference coordinate dropped. (Its gradient is J^T g = g - Q sum g.)
-    """
-    sg = g.sum()
-    h = H.sum(axis=1)
-    X = np.outer(Q, h - (0.5 * (h.sum() + sg)) * Q)
-    Hy = H - X - X.T
-    Hy.flat[::Q.size + 1] -= sg * Q
-    return Hy[:-1, :-1]
-
-
-def _tangent_basis(a):
-    """Orthonormal basis of the complement of a, as columns: the last
-    columns of the Householder reflection that maps a onto e_0."""
-    v = a / math.sqrt(a @ a)
-    v[0] += math.copysign(1.0, v[0])
-    Z = np.outer(v, (-2.0 / (v @ v)) * v[1:])
-    Z.flat[a.size - 1::a.size] += 1.0       # the identity's last columns
+def _tangent_basis(a, aa):
+    """Orthonormal basis of the complement of a, aa = a.a, as columns: the
+    last columns of the Householder reflection that maps a onto e_0."""
+    v = a / math.sqrt(aa)
+    v0 = float(v[0])
+    v[0] = v0 + math.copysign(1.0, v0)
+    # v.v = 2 (1 + |v0|) for a unit a
+    Z = v[:, None] * ((-1.0 / (1.0 + abs(v0))) * v[1:])
+    Z.reshape(-1)[a.size - 1::a.size] += 1.0     # the identity's last columns
     return Z
 
 
@@ -588,15 +633,15 @@ def _modified_solve(W, b):
     unit direction of negative curvature of W (an eigenvalue below
     -NEGATIVE_RTOL times the largest), or None."""
     ev, V = np.linalg.eigh(W)
-    size = np.abs(ev)
-    top = max(size.max(), 1e-300)
-    x = V @ ((b @ V) / np.maximum(size, EIG_FLOOR * top))
-    return x, (V[:, 0] if ev[0] < -NEGATIVE_RTOL * top else None)
+    least = float(ev[0])
+    top = max(-least, float(ev[-1]), 1e-300)      # eigenvalues ascend
+    x = V @ ((b @ V) / np.maximum(np.abs(ev), EIG_FLOOR * top))
+    return x, (V[:, 0] if least < -NEGATIVE_RTOL * top else None)
 
 
-def _kkt_step(W, g, a, r):
+def _kkt_step(W, g, a, r, aa):
     """Step of the quadratic model min g.d + d.W.d/2 subject to the
-    linearized constraint r + a.d >= 0.
+    linearized constraint r + a.d >= 0, aa = a.a.
 
     First the step onto a.d = -r: its normal part -r a/|a|^2 plus the
     Newton step of the model on the tangent space, with multiplier lam =
@@ -609,16 +654,15 @@ def _kkt_step(W, g, a, r):
 
     Returns (d, lam, s): s a unit direction of negative curvature of W on
     the space the step was taken in, or None."""
-    aa = a @ a
     if aa > 1e-200:         # beneath, the normal step would overflow
         d = (-r / aa) * a
         s = None
         if a.size > 1:
-            Z = _tangent_basis(a)
+            Z = _tangent_basis(a, aa)
             t, s = _modified_solve(Z.T @ W @ Z, Z.T @ (g + W @ d))
             d = d - Z @ t
             s = None if s is None else Z @ s
-        lam = a @ (g + W @ d) / aa
+        lam = float(a @ (g + W @ d)) / aa
         if r < 0 or (lam >= 0 and (g @ d <= 0 or np.abs(d).max() < 1e-12)):
             return d, max(0.0, lam), s
     d, s = _modified_solve(W, g)
@@ -670,35 +714,40 @@ def minimize(polish, y, incumbent=INF):
     converged = False
     nit = 0
     mu_below = 0.0
-    while np.isfinite(pt.f) and pt.y.size and nit < POLISH_MAXITER:
+    while math.isfinite(pt.f) and pt.y.size and nit < POLISH_MAXITER:
         nit += 1
         g, a, W, lam = polish.derivatives(pt, lam)
+        aa, ag = float(a @ a), float(a @ g)
         r = pt.c - level
-        d, lam, s = _kkt_step(W, g, a, r)
-        d *= min(1.0, STEP_MAX / np.abs(d).max(initial=STEP_MAX))
+        d, lam, s = _kkt_step(W, g, a, r, aa)
+        longest = float(np.abs(d).max())
+        if longest > STEP_MAX:
+            d *= STEP_MAX / longest
+        gd = float(g @ d)
         # below the level the penalty is also at least 1.5 times the
         # least-squares multiplier a.g/|a|^2 and outweighs any rise of F
         # along d
         mu = 1.5 * lam
         if r < 0:
-            mu = max(mu, mu_below, 2.0 * (g @ d) / -r,
-                     1.5 * (a @ g) / (a @ a) if a @ a > 0 else 0.0)
+            mu = max(mu, mu_below, 2.0 * gd / -r,
+                     1.5 * ag / aa if aa > 0 else 0.0)
         mu_below = mu if r < 0 else 0.0
 
         def merit(p):
             return p.f + mu * max(0.0, level - p.c)
 
         phi = merit(pt)
-        slope = g @ d - mu * max(0.0, -r)
+        slope = gd - mu * max(0.0, -r)
         scale = max(1.0, abs(pt.f))
         stationary = r >= -1e-15 and (
             -slope <= STOP_RTOL * scale
             or (-slope <= 1e-8 * scale
-                and _kkt_residual(g, a, r, STOP_RTOL * scale) <= KKT_RTOL))
+                and _kkt_residual(g, a, r, STOP_RTOL * scale, aa, ag)
+                <= KKT_RTOL))
         if stationary:
             new = (None if s is None or pt.f >= SADDLE_RATIO * incumbent
                    else _curvature_search(polish, pt, s if g @ s <= 0 else -s,
-                                          a, lam > 0, merit, phi))
+                                          a, aa, lam > 0, merit, phi))
             if new is not None:
                 pt = new
                 continue
@@ -707,7 +756,7 @@ def minimize(polish, y, incumbent=INF):
                 pt = trial
             converged = True
             break
-        new = _line_search(polish, pt, d, a, lam > 0, merit, phi, slope)
+        new = _line_search(polish, pt, d, a, aa, lam > 0, merit, phi, slope)
         if new is None:
             break
         if polish.q > 1:
@@ -718,25 +767,24 @@ def minimize(polish, y, incumbent=INF):
     return _PolishResult(Q, converged or pt.y.size == 0, nit, polish.evals)
 
 
-def _kkt_residual(g, a, r, slack):
+def _kkt_residual(g, a, r, slack, aa, ag):
     """max |g - lam a| relative to max |g| + lam max |a|, with lam the
-    least-squares multiplier where the constraint is active, that is where
-    lam r, the first-order value of the slack r, is at most slack; lam is
-    0 where it is not."""
-    aa = a @ a
-    lam = max(0.0, (a @ g) / aa) if aa > 0 else 0.0
+    least-squares multiplier ag/aa (aa = a.a, ag = a.g) where the
+    constraint is active, that is where lam r, the first-order value of the
+    slack r, is at most slack; lam is 0 where it is not."""
+    lam = max(0.0, ag / aa) if aa > 0 else 0.0
     if lam * r > slack:
         lam = 0.0
     scale = np.abs(g).max() + lam * np.abs(a).max()
     return np.abs(g - lam * a).max() / scale if scale > 0 else 0.0
 
 
-def _to_level(polish, p, a):
+def _to_level(polish, p, a, aa):
     """Second-order correction: p moved along a onto the linearized level."""
-    return polish.point(p.y + ((polish.level - p.c) / (a @ a)) * a)
+    return polish.point(p.y + ((polish.level - p.c) / aa) * a)
 
 
-def _line_search(polish, pt, d, a, active, merit, phi, slope):
+def _line_search(polish, pt, d, a, aa, active, merit, phi, slope):
     """Backtracking Armijo search on the merit along d. A rejected trial
     that ends below the level, or off it on either side when the constraint
     is active, gets a second-order correction back onto it first."""
@@ -745,23 +793,23 @@ def _line_search(polish, pt, d, a, active, merit, phi, slope):
         new = polish.point(pt.y + t * d)
         if merit(new) <= phi + 1e-4 * t * slope:
             return new
-        if (active or new.c < polish.level) and a @ a > 0:
-            fix = _to_level(polish, new, a)
+        if (active or new.c < polish.level) and aa > 0:
+            fix = _to_level(polish, new, a, aa)
             if merit(fix) <= phi + 1e-4 * t * slope:
                 return fix
         t *= 0.5
     return None
 
 
-def _curvature_search(polish, pt, s, a, active, merit, phi):
+def _curvature_search(polish, pt, s, a, aa, active, merit, phi):
     """Step along the unit direction s of negative curvature, halved until
     the merit falls; each trial is corrected back onto the level when the
     constraint is active, or when it ends below the level."""
     t = 1.0
     for _ in range(8):
         new = polish.point(pt.y + t * s)
-        if (active or new.c < polish.level) and a @ a > 0:
-            new = _to_level(polish, new, a)
+        if (active or new.c < polish.level) and aa > 0:
+            new = _to_level(polish, new, a, aa)
         if merit(new) < phi:
             return new
         t *= 0.5
@@ -772,8 +820,11 @@ def _drop_vanishing(polish, old, new, lam):
     """The point on the face without the coordinates whose mass ratio fell
     below FACE_TOL in the last step, when the Lagrangian is lower there;
     new otherwise. The support's last state is the reference."""
-    vanish = (new.Q < FACE_TOL * new.Q.max()) & (new.Q < old.Q)
-    if not np.any(vanish):
+    floor = FACE_TOL * new.Q.max()
+    if new.Q.min() >= floor:
+        return new
+    vanish = (new.Q < floor) & (new.Q < old.Q)
+    if not vanish.any():
         return new
     z = (new.ld + polish.logpin)[~vanish]
     support = polish.support
@@ -785,6 +836,10 @@ def _drop_vanishing(polish, old, new, lam):
         return face
     polish.restrict(support)
     return new
+
+
+_SeedRecord = namedtuple(
+    "_SeedRecord", "family seed seed_value point value converged nit evals")
 
 
 def _optimize_density(S, n, q, pin, gamma, level):
@@ -806,10 +861,17 @@ def _optimize_density(S, n, q, pin, gamma, level):
     constraint ln max_x Q_x/pi_x >= n level is not smooth: each seed is
     polished under the smooth piece of the state x where Q/pi is largest at
     the seed, which implies it; the seeds hold one such state per orbit. A
-    polished point that misses the level is bisected back onto it. Seeds
+    polished point that misses the level is moved back onto it, along the
+    segment to the corner of its largest Q/pi (`_level_crossing`). Seeds
     and polished points alike are scored by the barrier objective (inf
     unless the constraint holds to 1e-13), so no infeasible point is
     reported and no result is worse than its seed.
+
+    Returns the least value, the first point that reaches it (seeds in
+    order, each before its polished point), and one `_SeedRecord` per seed:
+    its family ("ray" or "product"), the seed and its value, the polished
+    point and its value, and the polish's `converged`, `nit` and `evals`
+    (None, 0 and 0 for a seed that is not polished).
     """
     N = pin.size
     logpin = np.log(pin)
@@ -826,14 +888,16 @@ def _optimize_density(S, n, q, pin, gamma, level):
         return _objective(S, n, q, Q, pin)
 
     perms = automorphisms(S, n)
-    seeds = _ray_seeds(pin, constraint_rows, level,
-                       perms[perms[:, -1] == N - 1])[:MULTISTART]
+    rays = _ray_seeds(pin, constraint_rows, level,
+                      perms[perms[:, -1] == N - 1])[:MULTISTART]
+    seeds = [("ray", s) for s in rays]
     if n > 1:
-        seeds += _product_seeds(S, n, gamma, level)
+        seeds += [("product", s) for s in _product_seeds(S, n, gamma, level)]
 
     M = pin[:, None] * kronecker_sum(S.generator, n)
-    candidates = []
-    for s in seeds:
+    records = []
+    for family, s in seeds:
+        seed_value = full_objective(s)
         constraint = (("logvar", None) if gamma is None
                       else ("state", int(np.argmax(s / pin)))
                       if np.isinf(gamma) else ("renyi", gamma))
@@ -842,11 +906,14 @@ def _optimize_density(S, n, q, pin, gamma, level):
         # there, and only seeds inside are polished
         support = np.flatnonzero(s > 1e-14 * s.max())
         if q <= 1 and support.size < N:
+            records.append(_SeedRecord(family, s, seed_value, s, seed_value,
+                                       None, 0, 0))
             continue
         ls = np.log(s[support])
         res = minimize(_Polish(M, pin, q, n, constraint, level, support),
                        ls[:-1] - ls[-1],
-                       min((c[0] for c in candidates), default=INF))
+                       min((min(r.seed_value, r.value) for r in records),
+                           default=INF))
         Q = res.Q
         v = full_objective(Q)
         if not np.isfinite(v):
@@ -856,15 +923,17 @@ def _optimize_density(S, n, q, pin, gamma, level):
             if constraint_rows(corner[None, :])[0] >= level:
                 Q = _level_crossing(Q, corner, constraint_rows, level)[0]
                 v = full_objective(Q)
-        for c in ((full_objective(s), s), (v, Q)):
-            if np.isfinite(c[0]):
-                candidates.append(c)
+        records.append(_SeedRecord(family, s, seed_value, Q, v, res.converged,
+                                   res.nit, res.evals))
 
+    candidates = [c for r in records
+                  for c in ((r.seed_value, r.seed), (r.value, r.point))
+                  if np.isfinite(c[0])]
     if not candidates:
         raise SobolevError("no feasible point found; constraint level too high")
     vbest = min(c[0] for c in candidates)
     Qbest = next(c[1] for c in candidates if c[0] == vbest)
-    return vbest, Qbest
+    return vbest, Qbest, records
 
 
 def xi_q(S: Semigroup, q, alpha, return_witness=False):
@@ -886,7 +955,7 @@ def xi_q(S: Semigroup, q, alpha, return_witness=False):
         return (0.0, S.stationary.copy()) if return_witness else 0.0
     if q > 0:
         return xi_pq_n(S, q, q, 1, alpha, return_witness=return_witness)
-    val, Q = _optimize_density(S, 1, q, S.stationary, None, alpha)
+    val, Q, _ = _optimize_density(S, 1, q, S.stationary, None, alpha)
     return (val, Q) if return_witness else val
 
 
@@ -983,7 +1052,7 @@ def xi_pq_n(S: Semigroup, p, q, n, alpha, return_witness=False):
         val = val / n
         return (val, Q) if return_witness else val
 
-    val, Q = _optimize_density(S, n, q, pin, p / q, alpha)
+    val, Q, _ = _optimize_density(S, n, q, pin, p / q, alpha)
     val = val / n
     return (val, Q) if return_witness else val
 

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import math
 from itertools import combinations
 from pathlib import Path
@@ -899,6 +900,72 @@ class TestPolishConvergence:
         assert max(res.nit for _, _, res in calls) < sobolev.POLISH_MAXITER
 
 
+@pytest.fixture(scope="module")
+def curves_style_runs():
+    """((p, q, n, alpha), value, seed records) of every curves-style call,
+    from one pass; p is None for xi_q."""
+    runs, records = [], []
+    real = sobolev._optimize_density
+
+    def recording(*args):
+        out = real(*args)
+        records.append(out[2])
+        return out
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sobolev, "_optimize_density", recording)
+        for S, p, q, n, alpha in curves_style_inputs():
+            value = (xi_q(S, q, alpha) if p is None
+                     else xi_pq_n(S, p, q, n, alpha))
+            runs.append(((p, q, n, alpha), value, records.pop()))
+    return runs
+
+
+class TestSeedRecords:
+    def test_every_polish_converges(self, curves_style_runs):
+        # one record per seed; a seed with a zero mass at q <= 1, where the
+        # objective is infinite, is not polished (K4 and C4 at q = 1 and
+        # half their largest level, where faces' barycenters sit on it)
+        records = [r for _, _, recs in curves_style_runs for r in recs]
+        assert len(records) > 1000
+        assert {r.family for r in records} == {"ray", "product"}
+        for r in records:
+            if r.converged is None:
+                assert r.seed_value == math.inf and r.nit == r.evals == 0
+            else:
+                assert r.converged and 0 < r.nit < sobolev.POLISH_MAXITER
+        # the value is the least over the records
+        for (_, _, n, _), value, recs in curves_style_runs:
+            assert value == min(min(r.seed_value, r.value)
+                                for r in recs) / n
+
+
+BATTERY = Path(__file__).parent / "data" / "xi_pq_n_battery.json"
+
+
+class TestPinnedValues:
+    """No optimizer value rises above the one `xi_pq_n_battery.json` pins,
+    from commit 6f59b6f, by more than 1e-12 relative: the curves-style
+    inputs, and the SLSQP oracle's chains at p < q and p = inf."""
+
+    def test_curves_style(self, curves_style_runs):
+        pinned = json.loads(BATTERY.read_text())["curves_style"]
+        assert len(pinned) == len(curves_style_runs)
+        for (p, q, n, alpha, want), (args, value, _) in zip(
+                pinned, curves_style_runs):
+            assert (p, q, n, alpha) == args
+            assert value <= want * (1 + 1e-12)
+
+    def test_slsqp_oracle_chains(self):
+        pinned = json.loads(BATTERY.read_text())["slsqp_oracle"]
+        assert len(pinned) == 24
+        for chain, n, p, q, f, want in pinned:
+            S = (validate_semigroup(WEIGHTED3) if chain == "weighted3"
+                 else symmetric_chain(chain))
+            alpha = f * -math.log(S.stationary.min())
+            assert xi_pq_n(S, float(p), q, n, alpha) <= want * (1 + 1e-12)
+
+
 def slsqp_value(S, p, q, n, alpha):
     """The earlier polish, as an oracle: SciPy's SLSQP from the same ray
     seeds over y in [-700, 700]^{N-1}, with exact gradients, each result
@@ -954,6 +1021,109 @@ class TestSlsqpOracle:
             for alpha in (0.3 * hi, 0.6 * hi):
                 assert (xi_pq_n(S, p, q, n, alpha)
                         <= slsqp_value(S, p, q, n, alpha) * (1 + 1e-12))
+
+
+def crossing_constraints(pi):
+    """The row functions of every constraint the crossing serves, at law
+    pi: Renyi orders 0.5, 1, 1.5, 10 and inf, and the log-variance."""
+    logpi = np.log(pi)
+    return [lambda Qs, g=g: renyi_rows(Qs, pi, logpi, g)
+            for g in (0.5, 1, 1.5, 10, math.inf)] + [
+        lambda Qs: _logvar_rows(Qs, pi, logpi)]
+
+
+def crossing_cases(seed=7, count=20):
+    """(out, inside rows, rows, level): random laws pi on X^n (|X| <= 4,
+    n <= 2) with the rays `_ray_seeds` takes from pi, and fix-up rays from
+    a point below the level toward the corners that meet it."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        k, n = rng.integers(2, 5), rng.integers(1, 3)
+        pi = rng.uniform(0.05, 1.0, k)
+        pi = pi / pi.sum()
+        if n == 2:
+            pi = np.multiply.outer(pi, pi).ravel()
+        N = pi.size
+        if N <= 4:
+            targets = [np.isin(np.arange(N), f) / r for r in range(1, N)
+                       for f in combinations(range(N), r)]
+        else:
+            targets = list(np.eye(N))
+        targets = np.array(targets)
+        for rows in crossing_constraints(pi):
+            # a level every target meets: below the value 9/10 of the way
+            # to the nearest of them (the log-variance is inf on a face)
+            top = rows(0.1 * pi + 0.9 * targets)
+            level = rng.uniform(0.1, 0.9) * np.min(top)
+            yield pi, targets, rows, level
+            # from a point below the level, as after a polish
+            w = rng.uniform(0.5, 1.5, N) * pi
+            out = w / w.sum()
+            corners = np.eye(N)[rows(np.eye(N)) >= level]
+            if rows(out[None, :])[0] < level and corners.size:
+                yield out, corners, rows, level
+
+
+def bisected_crossing(out, inside, rows, level):
+    """The oracle's t for each row inside_i: up to 200 halvings of [0, 1]
+    toward the level, until no float lies between the ends."""
+    lo, hi = np.zeros(inside.shape[0]), np.ones(inside.shape[0])
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if np.all((mid == lo) | (mid == hi)):
+            break
+        meets = rows((1 - mid[:, None]) * out + mid[:, None] * inside) >= level
+        lo, hi = np.where(meets, lo, mid), np.where(meets, mid, hi)
+    return hi
+
+
+class TestLevelCrossing:
+    WINDOW = 256    # ulps of t scanned on each side of the oracle's t
+
+    def test_against_bisection(self):
+        # every returned row meets the level, and is the row (1-t) out +
+        # t inside of a t whose float below misses it. Rounding makes the
+        # constraint non-monotone over a few ulps of t, so a noisy band can
+        # hold several such t; where the constraint changes sign once
+        # within the window, t is within 4 ulp of the bisection oracle's.
+        # The secant takes at most 20 evaluations per crossing on average.
+        evaluated = crossings = clean = 0
+        for out, inside, rows, level in crossing_cases():
+            def counted(Qs):
+                nonlocal evaluated
+                evaluated += Qs.shape[0]
+                return rows(Qs)
+
+            got = sobolev._level_crossing(out, inside, counted, level)
+            crossings += inside.shape[0]
+            for row, target, t in zip(got, inside, bisected_crossing(
+                    out, inside, rows, level)):
+                assert rows(row[None, :])[0] >= level
+                steps = np.arange(-self.WINDOW, self.WINDOW + 1)
+                ts = t + steps * np.spacing(t)
+                near = (1 - ts[:, None]) * out + ts[:, None] * target
+                meets = rows(near) >= level
+                # the least t of the window that gives the returned row
+                j = np.flatnonzero(np.all(near == row, axis=1))[0]
+                assert j > 0 and meets[j] and not meets[j - 1]
+                if np.count_nonzero(meets[1:] != meets[:-1]) == 1:
+                    clean += 1
+                    assert abs(j - self.WINDOW) <= 4
+        assert crossings > 300 and clean > crossings / 2
+        assert evaluated / crossings <= 20
+
+    def test_rows_give_the_same_bits_alone_and_in_a_batch(self):
+        # the crossing evaluates only the rows it has not finished
+        rng = np.random.default_rng(3)
+        for N in (2, 3, 4, 8, 9, 16):
+            pi = rng.uniform(0.05, 1.0, N)
+            pi = pi / pi.sum()
+            Qs = rng.dirichlet(np.ones(N), 20)
+            for rows in crossing_constraints(pi):
+                batch = rows(Qs)
+                for i, Q in enumerate(Qs):
+                    assert rows(Q[None, :])[0] == batch[i]
+                    assert rows(Qs[i:i + 5])[0] == batch[i]
 
 
 def bern(y):
