@@ -56,24 +56,13 @@ def _fmt(x):
     return format(float(x), ".12g")
 
 
-def _jsonable(x):
-    if isinstance(x, (np.integer,)):
-        return int(x)
-    if isinstance(x, (np.floating,)):
-        return float(x)
-    if isinstance(x, (tuple, list)):
-        return [_jsonable(v) for v in x]
-    return x
-
-
 def emit(cfg, columns, rows):
     """Render rows to CSV or JSON, to --out or stdout."""
     meta = {"seed": cfg.seed, "subcommand": cfg.subcommand}
     if cfg.fmt == "json":
         payload = {
             "meta": meta,
-            "rows": [{c: _jsonable(v) for c, v in zip(columns, row)}
-                     for row in rows],
+            "rows": [dict(zip(columns, row)) for row in rows],
         }
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     else:

@@ -59,6 +59,11 @@ TINY = 5e-324
 # Faber-Krahn subsets gathered and scored per stacked call: enough to spread
 # the per-call cost, few enough that the (k, m, m) stack stays under 0.5 MiB
 SUBSET_CHUNK = 256
+# the most vertices of G^n (or states of X^n) whose subsets are searched
+# with a q-radius loop per subset: `faber_krahn_exact` and the p = 0 support
+# faces of `sobolev.xi_pq_n`; the orbit list then holds at most
+# C(16, 8) = 12,870 subsets
+SUBSET_SEARCH_BUDGET = 16
 
 
 class GraphError(ValueError):
@@ -217,8 +222,7 @@ def rayleigh_q(A, f, q) -> float:
         As = A[np.ix_(sup, sup)]
         return float(v[sup] @ As.sum(axis=1)) / float(v[sup].sum())
     if q > 1:
-        num = float(v @ A @ np.where(sup, v, 0.0) ** (q - 1.0)) \
-            if q != 2 else float(v @ A @ v)
+        num = float(v @ A @ np.where(sup, v, 0.0) ** (q - 1.0))
         return num / float((v[sup] ** q).sum())
     # q in (0,1): boundary edges blow the quotient up
     if theta > 0:
@@ -346,8 +350,8 @@ def _canonical_subsets(group, m):
     are taken in order and their extensions by increasing vertex.
     """
     N = group.shape[1]
-    # int32 holds every sum of distinct weights while N <= 31; the search
-    # caps N at 20
+    # int32 holds every sum of distinct weights while N <= 31; the searches
+    # cap N at 20 (`eigvalsh` at q = 2) or SUBSET_SEARCH_BUDGET
     weight = np.left_shift(1, N - 1 - group.astype(np.int32)).T.copy()
     rows = np.empty((1, 0), dtype=np.intp)
     images = np.zeros((1, len(group)), dtype=np.int32)
@@ -418,15 +422,14 @@ def faber_krahn_exact(G: Graph, n: int, q, m: int) -> FaberKrahnResult:
     """
     if q != 2 and not (1 <= q < INF):
         raise GraphError("requires q in [1, inf)")
-    cap = 20 if q == 2 else 16
+    # the q-radius loop costs more per subset than `eigvalsh` at q = 2
+    cap = 20 if q == 2 else SUBSET_SEARCH_BUDGET
     if G.nvertices ** n > cap:
         raise GraphError(f"enumeration budget |V|^n <= {cap} exceeded")
     An = cartesian_power(G, n).adjacency
     N = An.shape[0]
     if not (1 <= m <= N):
         raise GraphError("need 1 <= m <= |V|^n")
-    if m == 1:
-        return FaberKrahnResult(0.0, (0,))
     best, wit = 0.0, tuple(range(m))
     for idx in _subset_chunks(G, n, N, m):
         sub = An[idx[:, :, None], idx[:, None, :]]

@@ -82,7 +82,8 @@ from itertools import combinations
 import numpy as np
 
 from .entropy import _logsumexp, renyi_divergence, renyi_rows
-from .graph_spectral import _canonical_subsets, _fixed_point_radius
+from .graph_spectral import (SUBSET_SEARCH_BUDGET, _canonical_subsets,
+                             _fixed_point_radius)
 from .semigroup import (
     ENUMERATION_BUDGET,
     NonnegFunction,
@@ -445,13 +446,6 @@ def _product_seeds(S, n, gamma, level):
 _ZERO = np.zeros(1)
 
 
-def _softmax_point(y):
-    """The point softmax(y, 0) of the simplex, for log-mass ratios y."""
-    y = np.append(y, 0.0)
-    w = np.exp(y - y.max())
-    return w / w.sum()
-
-
 _Point = namedtuple("_Point", "y f c Q ld A MA aux")
 
 
@@ -763,7 +757,7 @@ def minimize(polish, y, incumbent=INF):
             new = _drop_vanishing(polish, pt, new, lam)
         pt = new
     Q = np.zeros(polish.full_pin.size)
-    Q[polish.support] = _softmax_point(pt.y)
+    Q[polish.support] = pt.Q
     return _PolishResult(Q, converged or pt.y.size == 0, nit, polish.evals)
 
 
@@ -1008,7 +1002,9 @@ def xi_pq_n(S: Semigroup, p, q, n, alpha, return_witness=False):
     only the lexicographically first m-subset of each orbit of
     `semigroup.automorphisms` is solved (`graph_spectral._canonical_subsets`,
     which never lists all C(N, m) subsets); among those, the first face of
-    least value gives the witness.
+    least value gives the witness. The route's one budget is
+    |X|^n <= `graph_spectral.SUBSET_SEARCH_BUDGET` = 16, so at any alpha
+    it solves at most C(16, 8) = 12,870 faces.
     Each face minimum is an exact q-radius problem (`_face_minimum`): the
     q-radius loop brackets rho_q to RADIUS_RTOL relative or raises
     ConvergenceError. The value (c - rho_q)/(q - 1) taken at the bracket's
@@ -1036,15 +1032,13 @@ def xi_pq_n(S: Semigroup, p, q, n, alpha, return_witness=False):
     if p == 0:
         if q <= 1:
             raise SobolevError("support-constrained route requires q > 1")
-        if N > 16:
-            raise SobolevError("support enumeration capped at |X|^n <= 16")
+        if N > SUBSET_SEARCH_BUDGET:
+            raise SobolevError("support enumeration capped at "
+                               f"|X|^n <= {SUBSET_SEARCH_BUDGET}")
         if np.any(S.stationary != S.stationary[0]):
             raise SobolevError("support route requires a uniform pi")
         m = int(np.count_nonzero(np.cumsum(pin)
                                  <= math.exp(-n * alpha) + 1e-12))
-        # the cap counts every admissible subset, not only the maximal ones
-        if sum(math.comb(N, k) for k in range(1, m + 1)) > 4096:
-            raise SobolevError("support enumeration too large at this alpha")
         Ln = kronecker_sum(S.generator, n)
         val, Q = min((_face_minimum(Ln, face, q)
                       for face in _canonical_subsets(automorphisms(S, n), m)),

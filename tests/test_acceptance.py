@@ -190,19 +190,16 @@ def test_criterion_05_qradius_symmetry_and_monotonicity():
 
 
 # small-support battery: (base size, power, supports); every instance keeps
-# base^power <= 16. At 16 states the support enumeration refuses m >= 5
-# (6884 subsets at m = 5, beyond its cap of 4096), so those two shapes stop
-# at m = 4 before jumping to the trivial full support. With one support face
-# per symmetry orbit, m = 3 and m = 4 there cost under 0.2 s each.
+# base^power <= 16
 IDENTITY_INSTANCES = (
     (2, 1, (2,)),
     (2, 2, (2, 3, 4)),
     (2, 3, (2, 3, 4, 5, 6, 7, 8)),
-    (2, 4, (2, 3, 4, 16)),
+    (2, 4, range(2, 17)),
     (3, 1, (2, 3)),
     (3, 2, (2, 3, 4, 5, 6, 7, 8, 9)),
     (4, 1, (2, 3, 4)),
-    (4, 2, (2, 3, 4, 16)),
+    (4, 2, range(2, 17)),
 )
 
 

@@ -116,6 +116,15 @@ class TestXi:
         assert len(payload["rows"]) == 4
         assert payload["rows"][0]["value"] == 0.0
 
+    def test_support_route_on_sixteen_states(self):
+        # the p = 0 route on K2^4 at supports of 1 to 13 of its 16 states
+        rc, out, _ = run_cli(["xi", "--binary", "--p", "0", "--q", "2",
+                              "--n", "4", "--grid", "16"])
+        assert rc == 0
+        vals = [float(r["value"]) for r in parse_csv(out)]
+        assert len(vals) == 16
+        assert all(b >= a for a, b in zip(vals, vals[1:]))
+
     def test_infinite_order_values(self):
         # the values the SLSQP polish gave, which the Newton polish keeps
         rc, out, _ = run_cli(["xi", "--binary", "--q", "2", "--p", "inf",
@@ -177,6 +186,17 @@ class TestFaberKrahn:
         row = parse_csv(out)[0]
         assert float(row["value"]) == pytest.approx(2.0, abs=1e-9)
         assert row["witness"] == "0 1 2 3"
+
+    def test_complete_graph_base(self):
+        # a base graph other than the edge, read by graph_from_tokens
+        rc, out, _ = run_cli(["faber-krahn", "--graph", "complete", "3",
+                              "--n", "2", "--q", "2", "--m", "4"])
+        assert rc == 0
+        row = parse_csv(out)[0]
+        want = graph_spectral.faber_krahn_exact(
+            graph_spectral.complete_graph(3), 2, 2.0, 4)
+        assert row["value"] == format(want.value, ".12g") == "2.17008648663"
+        assert row["witness"] == " ".join(map(str, want.witness)) == "0 1 2 3"
 
     def test_bound_dominates_value(self):
         rc, out, _ = run_cli(["faber-krahn", "--graph", "hypercube",

@@ -27,7 +27,6 @@ from rslab.semigroup import (
 from rslab.sobolev import (
     _logvar_rows,
     _objective,
-    _softmax_point,
     ExtremalSpec,
     SampledCurve,
     SobolevError,
@@ -525,12 +524,13 @@ class TestXiPqN:
         assert xi_pq_n(S, 1, 2, 2, 0.420970) <= 0.31912626966 * (1 + 1e-12)
 
     def test_support_enumeration_cap(self):
-        # K2^4 at supports of five states: 6884 subsets of at most five of
-        # the 16 states fit, beyond the 4096 the route enumerates
+        # the route's one budget is on |X|^n, whatever alpha: K2^5 has 32
+        # states, refused even where a support holds only two of them
         S = validate_semigroup([[-1.0, 1.0], [1.0, -1.0]])
-        with pytest.raises(SobolevError,
-                           match="support enumeration too large"):
-            xi_pq_n(S, 0, 2, 4, -math.log(5 / 16) / 4)
+        for m in (2, 16):
+            with pytest.raises(SobolevError,
+                               match=r"capped at \|X\|\^n <= 16"):
+                xi_pq_n(S, 0, 2, 5, math.log(32 / m) / 5)
 
     def test_errors(self):
         S = binary_semigroup()
@@ -643,6 +643,18 @@ class TestXiPqNWitness:
             assert full == pytest.approx(val, rel=1e-12)
             assert min(np.abs(Qf[g] - Q).max() for g in group) <= 1e-12
 
+    @pytest.mark.parametrize("q", [1.5, 2, 3])
+    def test_support_witness_on_sixteen_states(self, q):
+        # K2^4 with supports of 8 of its 16 states: 74 orbit faces of the
+        # 12,870 8-subsets. Each state flips 4 coordinates at rate 1/2, so
+        # c = 2; on the best face, a 3-subcube, each keeps 3 flips and
+        # rho_q = 3/2, so the value is (c - rho_q)/((q - 1) n)
+        val, Q = self.check(binary_semigroup(), 0, q, 4, LN2 / 4)
+        bits = (np.flatnonzero(Q)[:, None] >> np.arange(4)) & 1
+        assert len(bits) == 8
+        assert np.count_nonzero(bits.min(axis=0) == bits.max(axis=0)) == 1
+        assert val == pytest.approx(1.0 / (8.0 * (q - 1.0)), rel=1e-9)
+
     @pytest.mark.parametrize("p", [0.5, 1, 2, math.inf])
     @pytest.mark.parametrize("chain", ["binary", "K3"])
     def test_polish_witness(self, chain, p):
@@ -690,6 +702,14 @@ def polish_problem(S, n, q, constraint, level=0.0, support=None):
     if support is None:
         support = np.arange(pin.size)
     return sobolev._Polish(M, pin, q, n, constraint, level, support)
+
+
+def softmax_point(y):
+    """The point softmax(y, 0) of the simplex, for log-mass ratios y: the
+    y -> Q map written apart from `_Polish.point`, as its reference."""
+    y = np.append(y, 0.0)
+    w = np.exp(y - y.max())
+    return w / w.sum()
 
 
 def log_ratios(Q):
@@ -789,7 +809,7 @@ class TestExactGradients:
     def test_y_gradient_finite_where_softmax_underflows(self):
         S = three_state_chain()
         y = np.array([700.0, -700.0])
-        assert _softmax_point(y)[1] == 0.0
+        assert softmax_point(y)[1] == 0.0
         for q, constraint in ((2, ("renyi", 1.0)), (2, ("renyi", 1.5)),
                               (1.5, ("state", 0))):
             pt_problem = polish_problem(S, 1, q, constraint)
@@ -832,7 +852,7 @@ class TestPolishGradients:
         for args, y, _ in calls:
             problem = sobolev._Polish(*args)
             assert problem.support.size == pin.size
-            Q = _softmax_point(y)
+            Q = softmax_point(y)
             pt = problem.point(y)
             assert pt.f == pytest.approx(_objective(S, n, q, Q, pin),
                                          rel=1e-12)
@@ -1001,7 +1021,7 @@ def slsqp_value(S, p, q, n, alpha):
                           "fun": lambda y: problem.point(y).c - alpha,
                           "jac": lambda y: grads(y)[1]}],
             options={"ftol": 1e-15, "maxiter": 200})
-        Q = _softmax_point(res.x)
+        Q = softmax_point(res.x)
         if not math.isfinite(barrier(Q)):
             corner = np.eye(N)[np.argmax(Q / pin)]
             if rows(corner[None, :])[0] >= alpha:
