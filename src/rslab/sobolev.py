@@ -25,8 +25,9 @@ and quasi-convex in Q, so nondecreasing along every ray from pi, at every
 order (it is not convex in Q above order 1); so is the log-variance, whose
 derivative along a ray is a covariance of two increasing functions of
 Q/pi. Each start is polished by an in-repo Newton-KKT (SQP) method for the
-one divergence constraint (`minimize`), with an active set for the faces
-where optima sit at q > 1; xi_q at q > 0 is xi_pq_n at p = q, n = 1.
+one divergence constraint, with an active set for the faces where optima
+sit at q > 1; `minimize` polishes all starts of a call in lockstep. xi_q at
+q > 0 is xi_pq_n at p = q, n = 1.
 
 At p = 0 the constraint only bounds the support. With pi uniform each
 support face is then an exact q-radius problem, solved by the certified
@@ -52,9 +53,12 @@ whole orbit is kept.
 Each polish works on one dense problem (`_Polish`): with M = diag(pi^n) L_n
 from `semigroup.kronecker_sum`, objective and constraint are closed forms
 in z = ln Q, and one pass over y gives both values; their gradients and
-Hessians in y come only at accepted points. Seeds and re-scores take the
-value from `_objective`, through `semigroup.dirichlet_rows`, and the
-divergence from `entropy.renyi_rows`, so every reported value is
+Hessians in y come only at accepted points. The polishes of one call
+share each round's dense work: their points, and their Newton-KKT steps
+with one `eigh` for the stack, are evaluated together per support size,
+by kernels that give every row the bits it gets alone. Seeds and re-scores
+take the value from `_objective`, through `semigroup.dirichlet_rows`, and
+the divergence from `entropy.renyi_rows`, so every reported value is
 scored apart from the polish's own closed forms.
 
 The two-point chain admits a closed form (binary_xi_q) used as an oracle, in
@@ -443,9 +447,6 @@ def _product_seeds(S, n, gamma, level):
     return seeds
 
 
-_ZERO = np.zeros(1)
-
-
 _Point = namedtuple("_Point", "y f c Q ld A MA aux")
 
 
@@ -466,8 +467,10 @@ class _Polish:
     state x ("state"), or Var_pi(ln D)/2 at q = 0 ("logvar"). `point` gives
     both values, as floats, from one pass over y, with one product M [a, b];
     only at an accepted point does `derivatives` take their gradients and
-    the Lagrangian's Hessian. Every `point` is one dense evaluation, counted
-    in `evals`.
+    the Lagrangian's Hessian. `minimize` evaluates the points and
+    derivatives of many problems at once (`_points`, `_derivatives`); the
+    two methods are those of one problem alone. Every point is one dense
+    evaluation, counted in `evals`.
     """
 
     def __init__(self, M, pin, q, n, constraint, level, support):
@@ -496,6 +499,7 @@ class _Polish:
     def restrict(self, support):
         """Continue on the face of the given states (ascending indices)."""
         self.support = support
+        self.face = support.tobytes()
         self.M = self.full_M[np.ix_(support, support)]
         self.kM = self.pair * self.M
         self.pin = self.full_pin[support]
@@ -509,133 +513,196 @@ class _Polish:
     def point(self, y):
         """Objective and constraint at y, with what `derivatives` needs
         there: one dense evaluation."""
-        self.evals += 1
-        q, n, kind, gamma = self.q, self.n, self.kind, self.order
-        yt = np.concatenate((y, _ZERO))
-        top = yt.max()
-        w = np.exp(yt - top)
-        total = w.sum()
-        z = yt - (top + math.log(total))
-        Q = w / total
-        ld = z - self.logpin
-        if q == 1:
-            A = np.empty((ld.size, 2))
-            A[:, 0], A[:, 1] = np.exp(ld), ld
-            MA = self.M @ A
-            f = -float(A[:, 1] @ MA[:, 0])
-        elif q > 1:
-            A = np.exp(ld[:, None] * self.powers)
-            MA = self.M @ A
-            f = float(A[:, 1] @ MA[:, 0]) / (1.0 - q)
-        else:
-            # below q = 1 the row b is a negative power of D, which
-            # overflows to the infinite value the objective has near a face
-            with np.errstate(over="ignore", invalid="ignore"):
-                A = np.exp(ld[:, None] * self.powers)
-                MA = self.M @ A
-                E = A[:, 1] @ MA[:, 0]
-            f = float(E) / (1.0 - q)
-        aux = None
-        if kind == "state":
-            c = float(ld[self.at]) / n
-        elif kind == "logvar":
-            aux = ld - self.pin @ ld
-            c = 0.5 * float(self.pin @ (aux * aux))
-        elif gamma == 1:
-            c = float(Q @ ld) / n
-        else:
-            e = gamma * z + self.tilt
-            top = e.max()
-            w = np.exp(e - top)
-            total = w.sum()
-            c = (float(top) + math.log(total)) / ((gamma - 1.0) * n)
-            aux = w / total
-        return _Point(y, f, c, Q, ld, A, MA, aux)
+        return _points([self], [y])[0]
 
     def derivatives(self, pt, lam=None):
         """(g, a, W, lam) at pt: the gradients in y of objective and
-        constraint, and the Hessian in y of the Lagrangian F - lam c. With
-        lam None, lam is the least-squares multiplier max(0, a.g/|a|^2);
-        a given lam is capped at LAM_GROWTH times that plus 1, so that a
-        multiplier carried from step to step cannot run away where |a| is
-        small.
+        constraint, and the Hessian in y of the Lagrangian F - lam c
+        (`_derivatives`)."""
+        g, a, W, lam, _, _ = _derivatives([self], [pt], [lam])
+        return g[0], a[0], W[0], lam[0]
 
-        With J = dz/dy = I - 1 Q^T (the reference column dropped), the
-        gradients are J^T times those in z, and W = J^T (H - s diag Q) J,
-        with H the Lagrangian's Hessian in z and s the sum of its gradient
-        in z: the Hessian of each z_i in y is -(diag Q - Q Q^T) on the y
-        coordinates, which is J^T (diag Q - Q Q^T) J, and J^T Q = 0.
-        """
-        n, Q, ld, aux = self.n, pt.Q, pt.ld, pt.aux
-        ra, rb = pt.A.T
-        X = pt.A * pt.MA[:, ::-1]           # a Mb, b Ma
-        if self.q == 1:
-            X[:, 1] = pt.MA[:, 0]           # b' = 1
-        g, diag = X @ self.grad, X @ self.curv
-        # the constraint's gradient a in z, and its Hessian in z,
-        # diag(cd) + rho r r^T
-        kind, gamma = self.kind, self.order
-        cd = r = None
-        if kind == "state":
-            a = np.zeros(Q.size)
-            a[self.at] = 1.0 / n
-        elif kind == "logvar":
-            a = self.pin * aux
-            cd, r, rho = self.pin, self.pin, -1.0
-        elif gamma == 1:
-            a = Q * (ld + 1.0) / n
-            cd = Q * (ld + 2.0) / n
+
+def _stacked(polishes, *names):
+    """The named attributes of each problem, stacked; those of the first
+    problem alone, which broadcast over the stack, when all share its
+    face."""
+    P = polishes[0]
+    if all(p.face == P.face for p in polishes):
+        return [getattr(P, name) for name in names]
+    return [np.array([getattr(p, name) for p in polishes]) for name in names]
+
+
+def _points(polishes, ys):
+    """`_Polish.point` of each problem at its y, in one stacked evaluation.
+
+    The problems are those of one `minimize` call, on supports of one size.
+    Each step acts row by row, through elementwise operations, reductions
+    along rows, and stacked `@` and `np.vecdot`, which give each row the bits
+    it gets alone (`einsum` does not), so no point depends on its batch.
+    """
+    P = polishes[0]
+    q, n, kind, gamma = P.q, P.n, P.kind, P.order
+    for p in polishes:
+        p.evals += 1
+    yt = np.zeros((len(ys), P.support.size))
+    yt[:, :-1] = ys
+    top = yt.max(axis=1, keepdims=True)
+    w = np.exp(yt - top)
+    total = w.sum(axis=1, keepdims=True)
+    z = yt - [[t + math.log(u)] for t, u in zip(top[:, 0].tolist(),
+                                                total[:, 0].tolist())]
+    Q = w / total
+    logpin, M, *extra = _stacked(polishes, "logpin", "M", *(
+        ("pin",) if kind == "logvar" else ("tilt",) if kind == "renyi" else ()))
+    ld = z - logpin
+    if q == 1:
+        A = np.empty(ld.shape + (2,))
+        A[:, :, 0], A[:, :, 1] = np.exp(ld), ld
+        MA = M @ A
+        f = -np.vecdot(A[:, :, 1], MA[:, :, 0])
+    elif q > 1:
+        A = np.exp(ld[:, :, None] * P.powers)
+        MA = M @ A
+        f = np.vecdot(A[:, :, 1], MA[:, :, 0]) / (1.0 - q)
+    else:
+        # below q = 1 the row b is a negative power of D, which overflows
+        # to the infinite value the objective has near a face
+        with np.errstate(over="ignore", invalid="ignore"):
+            A = np.exp(ld[:, :, None] * P.powers)
+            MA = M @ A
+            f = np.vecdot(A[:, :, 1], MA[:, :, 0]) / (1.0 - q)
+    aux = [None] * len(ys)
+    if kind == "state":
+        c = (ld[np.arange(len(ys)), [p.at for p in polishes]] / n).tolist()
+    elif kind == "logvar":
+        aux = ld - np.vecdot(extra[0], ld)[:, None]
+        c = (0.5 * np.vecdot(extra[0], aux * aux)).tolist()
+    elif gamma == 1:
+        c = (np.vecdot(Q, ld) / n).tolist()
+    else:
+        e = gamma * z + extra[0]
+        top = e.max(axis=1, keepdims=True)
+        w = np.exp(e - top)
+        total = w.sum(axis=1, keepdims=True)
+        c = [(t + math.log(u)) / ((gamma - 1.0) * n)
+             for t, u in zip(top[:, 0].tolist(), total[:, 0].tolist())]
+        aux = w / total
+    return [_Point(*row) for row in zip(ys, f.tolist(), c, Q, ld, A, MA, aux)]
+
+
+def _derivatives(polishes, pts, lams):
+    """`_Polish.derivatives` of each problem at its point, stacked as in
+    `_points`: (g, a, W, lam, a.a, a.g), g and a stacked rows, W stacked
+    matrices, the rest lists.
+
+    g and a are the gradients in y of objective and constraint, and W the
+    Hessian in y of the Lagrangian F - lam c. Where a given lam is None,
+    lam is the least-squares multiplier max(0, a.g/|a|^2); a given lam is
+    capped at LAM_GROWTH times that plus 1, so that a multiplier carried
+    from step to step cannot run away where |a| is small.
+
+    With J = dz/dy = I - 1 Q^T (the reference column dropped), the
+    gradients are J^T times those in z, and W = J^T (H - s diag Q) J, with
+    H the Lagrangian's Hessian in z and s the sum of its gradient in z: the
+    Hessian of each z_i in y is -(diag Q - Q Q^T) on the y coordinates,
+    which is J^T (diag Q - Q Q^T) J, and J^T Q = 0.
+    """
+    P = polishes[0]
+    n, kind, gamma = P.n, P.kind, P.order
+    Q = np.array([p.Q for p in pts])
+    A, MA = np.array([p.A for p in pts]), np.array([p.MA for p in pts])
+    k, m = Q.shape
+    X = A * MA[:, :, ::-1]              # a Mb, b Ma
+    if P.q == 1:
+        X[:, :, 1] = MA[:, :, 0]        # b' = 1
+    g, diag = X @ P.grad, X @ P.curv
+    # the constraint's gradient a in z, and its Hessian in z,
+    # diag(cd) + rho r r^T
+    cd = r = None
+    if kind == "state":
+        a = np.zeros((k, m))
+        a[np.arange(k), [p.at for p in polishes]] = 1.0 / n
+    elif kind == "logvar":
+        cd = r = np.broadcast_to(_stacked(polishes, "pin")[0], (k, m))
+        a = r * np.array([p.aux for p in pts])
+        rho = -1.0
+    elif gamma == 1:
+        ld = np.array([p.ld for p in pts])
+        a = Q * (ld + 1.0) / n
+        cd = Q * (ld + 2.0) / n
+    else:
+        r = np.array([p.aux for p in pts])
+        kk = gamma / ((gamma - 1.0) * n)
+        a = kk * r
+        cd, rho = gamma * a, -gamma * kk
+    J = P.columns - Q[:, None, :-1]
+    gy, ay = (g[:, None] @ J)[:, 0], (a[:, None] @ J)[:, 0]
+    aa, ag = np.vecdot(ay, ay).tolist(), np.vecdot(ay, gy).tolist()
+    lam = [
+        least if given is None else min(given, LAM_GROWTH * (least + 1.0))
+        for given, least in zip(lams, [max(0.0, y / x) if x > 0 else 0.0
+                                       for x, y in zip(aa, ag)])]
+    ra = A[:, :, 0]
+    if P.q == 1:
+        H = ra[:, :, None] + ra[:, None]
+    else:
+        H = ra[:, :, None] * A[:, None, :, 1]
+        H += H.transpose(0, 2, 1)
+    H *= _stacked(polishes, "kM")[0]
+    lv = np.array(lam)[:, None]
+    # the terms in lam are left out, not multiplied by 0, where lam is 0
+    on = [bool(x) for x in lam]
+    if cd is not None and any(on):
+        if all(on):
+            diag -= lv * cd
         else:
-            k = gamma / ((gamma - 1.0) * n)
-            a = k * aux
-            cd, r, rho = gamma * a, aux, -gamma * k
-        J = self.columns - Q[:-1]
-        gy, ay = g @ J, a @ J
-        aa = ay @ ay
-        least = max(0.0, (ay @ gy) / aa) if aa > 0 else 0.0
-        lam = least if lam is None else min(lam, LAM_GROWTH * (least + 1.0))
-        if self.q == 1:
-            H = ra[:, None] + ra
+            diag[on] -= lv[on] * cd[on]
+    diag -= (g.sum(axis=1, keepdims=True)
+             - lv * a.sum(axis=1, keepdims=True)) * Q
+    H.reshape(k, -1)[:, ::m + 1] += diag
+    if r is not None and any(on):
+        if all(on):
+            H -= r[:, :, None] * ((lv * rho) * r)[:, None]
         else:
-            H = ra[:, None] * rb
-            H += H.T
-        H *= self.kM
-        if lam and cd is not None:
-            diag -= lam * cd
-        diag -= (g.sum() - lam * a.sum()) * Q
-        H.reshape(-1)[::Q.size + 1] += diag
-        if lam and r is not None:
-            H -= r[:, None] * ((lam * rho) * r)
-        return gy, ay, J.T @ H @ J, lam
+            H[on] -= r[on, :, None] * ((lv[on] * rho) * r[on])[:, None]
+    return gy, ay, J.transpose(0, 2, 1) @ H @ J, lam, aa, ag
 
 
 def _tangent_basis(a, aa):
-    """Orthonormal basis of the complement of a, aa = a.a, as columns: the
-    last columns of the Householder reflection that maps a onto e_0."""
-    v = a / math.sqrt(aa)
-    v0 = float(v[0])
-    v[0] = v0 + math.copysign(1.0, v0)
+    """Orthonormal basis of the complement of each row of a, aa the rows'
+    a.a as a list, as the columns of stacked matrices: the last columns of
+    the Householder reflection that maps the row onto e_0."""
+    k, m = a.shape
+    v = a / np.array([[math.sqrt(x)] for x in aa])
+    v0 = v[:, :1]
     # v.v = 2 (1 + |v0|) for a unit a
-    Z = v[:, None] * ((-1.0 / (1.0 + abs(v0))) * v[1:])
-    Z.reshape(-1)[a.size - 1::a.size] += 1.0     # the identity's last columns
+    c = -1.0 / (1.0 + np.abs(v0))
+    v0 += np.copysign(1.0, v0)
+    Z = v[:, :, None] * (c * v[:, 1:])[:, None]
+    Z.reshape(k, -1)[:, m - 1::m] += 1.0     # the identity's last columns
     return Z
 
 
 def _modified_solve(W, b):
-    """W^+ b, with W^+ the inverse of W after its eigenvalues are replaced
-    by their absolute values, floored at EIG_FLOOR of the largest; and a
-    unit direction of negative curvature of W (an eigenvalue below
+    """W^+ b for each stacked W and column b, with W^+ the inverse of W
+    after its eigenvalues are replaced by their absolute values, floored at
+    EIG_FLOOR of the largest (one `eigh` for the stack); and for each a unit
+    direction of negative curvature of W (an eigenvalue below
     -NEGATIVE_RTOL times the largest), or None."""
     ev, V = np.linalg.eigh(W)
-    least = float(ev[0])
-    top = max(-least, float(ev[-1]), 1e-300)      # eigenvalues ascend
-    x = V @ ((b @ V) / np.maximum(np.abs(ev), EIG_FLOOR * top))
-    return x, (V[:, 0] if least < -NEGATIVE_RTOL * top else None)
+    least = ev[:, 0].tolist()           # eigenvalues ascend
+    top = [max(-lo, hi, 1e-300) for lo, hi in zip(least, ev[:, -1].tolist())]
+    floor = np.maximum(np.abs(ev), [[EIG_FLOOR * t] for t in top])
+    x = V @ ((b.transpose(0, 2, 1) @ V) / floor[:, None]).transpose(0, 2, 1)
+    return x, [V[i, :, 0] if lo < -NEGATIVE_RTOL * t else None
+               for i, (lo, t) in enumerate(zip(least, top))]
 
 
-def _kkt_step(W, g, a, r, aa):
+def _kkt_steps(W, g, a, r, aa):
     """Step of the quadratic model min g.d + d.W.d/2 subject to the
-    linearized constraint r + a.d >= 0, aa = a.a.
+    linearized constraint r + a.d >= 0, for each stacked W, column g and
+    a, and entry of the lists r and aa = a.a.
 
     First the step onto a.d = -r: its normal part -r a/|a|^2 plus the
     Newton step of the model on the tangent space, with multiplier lam =
@@ -646,32 +713,157 @@ def _kkt_step(W, g, a, r, aa):
     W, or its restriction to the tangent space, is not positive definite,
     its eigenvalues are replaced by their absolute values, floored.
 
-    Returns (d, lam, s): s a unit direction of negative curvature of W on
-    the space the step was taken in, or None."""
-    if aa > 1e-200:         # beneath, the normal step would overflow
-        d = (-r / aa) * a
-        s = None
-        if a.size > 1:
-            Z = _tangent_basis(a, aa)
-            t, s = _modified_solve(Z.T @ W @ Z, Z.T @ (g + W @ d))
-            d = d - Z @ t
-            s = None if s is None else Z @ s
-        lam = float(a @ (g + W @ d)) / aa
-        if r < 0 or (lam >= 0 and (g @ d <= 0 or np.abs(d).max() < 1e-12)):
-            return d, max(0.0, lam), s
-    d, s = _modified_solve(W, g)
-    return -d, 0.0, s
+    Returns (d, lam, s): the steps as stacked columns, and lists of each
+    one's lam and s, a unit direction of negative curvature of W on the
+    space the step was taken in, or None."""
+    k, m, _ = g.shape
+    d, lam, s = np.empty((k, m, 1)), [0.0] * k, [None] * k
+    # beneath aa = 1e-200 the normal step would overflow
+    rows = [i for i in range(k) if aa[i] > 1e-200]
+    whole = [i for i in range(k) if not aa[i] > 1e-200]
+    if rows:
+        pick = slice(None) if not whole else rows
+        Wr, gr, ar = W[pick], g[pick], a[pick]
+        dr = np.array([[[-r[i] / aa[i]]] for i in rows]) * ar
+        sr = [None] * len(rows)
+        if m > 1:
+            Z = _tangent_basis(ar[:, :, 0], [aa[i] for i in rows])
+            Zt = Z.transpose(0, 2, 1)
+            t, sr = _modified_solve(Zt @ Wr @ Z, Zt @ (gr + Wr @ dr))
+            dr = dr - Z @ t
+            sr = [None if v is None else Z[j] @ v for j, v in enumerate(sr)]
+        lr = np.vecdot(ar, gr + Wr @ dr, axis=1)[:, 0].tolist()
+        gd = small = None
+        for j, i in enumerate(rows):
+            lj = lr[j] / aa[i]
+            keep = r[i] < 0
+            if not keep and lj >= 0:
+                if gd is None:
+                    gd = np.vecdot(gr, dr, axis=1)[:, 0].tolist()
+                    small = (np.abs(dr).max(axis=(1, 2)) < 1e-12).tolist()
+                keep = gd[j] <= 0 or small[j]
+            if keep:
+                lam[i], s[i] = max(0.0, lj), sr[j]
+            else:
+                whole.append(i)
+        if not whole:
+            return dr, lam, s
+        d[rows] = dr
+    whole.sort()
+    x, sw = _modified_solve(W[whole], g[whole])
+    d[whole] = -x
+    for i, v in zip(whole, sw):
+        s[i] = v
+    return d, lam, s
 
 
-_PolishResult = namedtuple("_PolishResult", "Q converged nit evals")
+def _steps(polishes, asks):
+    """The Newton-KKT step of each problem at its point, from the
+    multiplier of its last step (`minimize`): derivatives and step stacked,
+    the step cut to STEP_MAX in every coordinate. Per problem (g, a, a.a,
+    a.g, d, g.d, lam, s)."""
+    pts = [pt for pt, _ in asks]
+    g, a, W, _, aa, ag = _derivatives(polishes, pts, [lam for _, lam in asks])
+    level = polishes[0].level
+    d, lam, s = _kkt_steps(W, g[:, :, None], a[:, :, None],
+                           [pt.c - level for pt in pts], aa)
+    d = d[:, :, 0]
+    longest = np.abs(d).max(axis=1)
+    if any(x > STEP_MAX for x in longest.tolist()):
+        d *= np.where(longest > STEP_MAX, STEP_MAX / longest, 1.0)[:, None]
+    return list(zip(g, a, aa, ag, d, np.vecdot(g, d).tolist(), lam, s))
 
 
-def minimize(polish, y, incumbent=INF):
-    """Newton-KKT (SQP) polish of one `_Polish` problem from y: minimize
-    the objective subject to constraint >= level (Nocedal and Wright,
-    Numerical Optimization, chs. 16 and 18).
+# the requests of a polish (`_polish_steps`) to `minimize`
+_POINT, _STEP, _GATE = "point", "step", "gate"
 
-    Each iteration takes the step of `_kkt_step` on the Lagrangian Hessian
+_PolishResult = namedtuple("_PolishResult",
+                           "point value converged nit evals")
+
+
+def minimize(polishes, ys, prior, score):
+    """Newton-KKT (SQP) polish of each `_Polish` problem from its y, all in
+    lockstep: minimize the objective subject to constraint >= level
+    (Nocedal and Wright, Numerical Optimization, chs. 16 and 18).
+
+    The problems are those of one `_optimize_density` call, in seed order.
+    Each polish keeps its own control flow (`_polish_steps`) and asks for
+    dense work. A round first evaluates the trial points every polish asks
+    for, then the Newton-KKT steps (`_steps`, with one `eigh` for the
+    tangent-space models), stacked per support size; every row gets the
+    bits it gets alone. A polish leaves the batch when it is stationary, its
+    line search fails, or it reaches POLISH_MAXITER iterations, and its
+    point is scored with the others that finish in that round: score maps a
+    list of points on X^n to the points it keeps (moved back onto the
+    level) and their values.
+
+    Polish j leaves a saddle point only below SADDLE_RATIO times its
+    incumbent, the least of prior[j] (the least seed value before it) and
+    the values of polishes 0..j-1, as when the polishes ran one after the
+    other. Where prior[j] and the finished ones among them already put it
+    at or above that, it stops at once; otherwise it waits for them.
+
+    Returns one `_PolishResult` per problem: the scored point and its
+    value, whether the polish met its stationarity test within
+    POLISH_MAXITER iterations, the iterations and the dense evaluations it
+    took.
+    """
+    runs = [_polish_steps(p, y) for p, y in zip(polishes, ys)]
+    asks = [next(run) for run in runs]
+    done = [None] * len(runs)
+    values = [None] * len(runs)
+    live = list(range(len(runs)))
+    waiting = set()         # gates left open since a polish last finished
+    while live:
+        # the trial points of every polish first, so that all polishes
+        # then take their next steps together
+        work, gates = {_POINT: {}, _STEP: {}}, []
+        for i in live:
+            if asks[i][0] == _GATE:
+                gates.append(i)
+            else:
+                work[asks[i][0]].setdefault(polishes[i].support.size,
+                                            []).append(i)
+        op = _POINT if work[_POINT] else _STEP
+        answers = {}
+        for rows in work[op].values():
+            answers.update(zip(rows, (_points if op == _POINT else _steps)(
+                [polishes[i] for i in rows], [asks[i][1] for i in rows])))
+        for i in gates:
+            if i in waiting:
+                continue
+            known = [v for v in values[:i] if v is not None]
+            if asks[i][1] >= SADDLE_RATIO * min([prior[i]] + known):
+                answers[i] = False
+            elif len(known) == i:
+                answers[i] = True
+            else:
+                waiting.add(i)
+        finished = []
+        for i, answer in answers.items():
+            try:
+                asks[i] = runs[i].send(answer)
+            except StopIteration as stop:
+                done[i] = stop.value
+                finished.append(i)
+        if finished:
+            waiting.clear()
+            points, scored = score([done[i][0] for i in finished])
+            for i, Q, v in zip(finished, points, scored):
+                values[i] = v
+                done[i] = _PolishResult(Q, v, *done[i][1:])
+            live = [i for i in live if values[i] is None]
+    return done
+
+
+def _polish_steps(polish, y):
+    """The polish of one problem from y, as a generator: it yields its
+    requests to `minimize`, (_POINT, y) for the point at y, (_STEP, (pt,
+    lam)) for the Newton-KKT step at pt, and (_GATE, f) to ask whether it
+    may leave a saddle point of value f, and is sent the answers. Returns
+    (Q on X^n, converged, nit, evals).
+
+    Each iteration takes the step of `_kkt_steps` on the Lagrangian Hessian
     W = H - lam C, with lam the last step's multiplier (at the seed the
     least-squares one, and never above LAM_GROWTH times the least-squares
     one plus 1), at most STEP_MAX long, and a backtracking line
@@ -697,12 +889,8 @@ def minimize(polish, y, incumbent=INF):
     coordinate whose mass ratio falls below FACE_TOL in a step is fixed at
     zero, and the polish continues on that face, when the Lagrangian F -
     lam (c - level) is lower there.
-
-    Returns the distribution on X^n, whether the polish met its
-    stationarity test within POLISH_MAXITER iterations, the iterations and
-    the dense evaluations it took.
     """
-    pt = polish.point(y)
+    pt = yield _POINT, y
     level = polish.level
     lam = None
     converged = False
@@ -710,14 +898,8 @@ def minimize(polish, y, incumbent=INF):
     mu_below = 0.0
     while math.isfinite(pt.f) and pt.y.size and nit < POLISH_MAXITER:
         nit += 1
-        g, a, W, lam = polish.derivatives(pt, lam)
-        aa, ag = float(a @ a), float(a @ g)
+        g, a, aa, ag, d, gd, lam, s = yield _STEP, (pt, lam)
         r = pt.c - level
-        d, lam, s = _kkt_step(W, g, a, r, aa)
-        longest = float(np.abs(d).max())
-        if longest > STEP_MAX:
-            d *= STEP_MAX / longest
-        gd = float(g @ d)
         # below the level the penalty is also at least 1.5 times the
         # least-squares multiplier a.g/|a|^2 and outweighs any rise of F
         # along d
@@ -739,26 +921,28 @@ def minimize(polish, y, incumbent=INF):
                 and _kkt_residual(g, a, r, STOP_RTOL * scale, aa, ag)
                 <= KKT_RTOL))
         if stationary:
-            new = (None if s is None or pt.f >= SADDLE_RATIO * incumbent
-                   else _curvature_search(polish, pt, s if g @ s <= 0 else -s,
-                                          a, aa, lam > 0, merit, phi))
-            if new is not None:
-                pt = new
-                continue
-            trial = polish.point(pt.y + d)
+            if s is not None and (yield _GATE, pt.f):
+                new = yield from _curvature_search(
+                    polish, pt, s if g @ s <= 0 else -s, a, aa, lam > 0,
+                    merit, phi)
+                if new is not None:
+                    pt = new
+                    continue
+            trial = yield _POINT, pt.y + d
             if merit(trial) <= phi:
                 pt = trial
             converged = True
             break
-        new = _line_search(polish, pt, d, a, aa, lam > 0, merit, phi, slope)
+        new = yield from _line_search(polish, pt, d, a, aa, lam > 0, merit,
+                                      phi, slope)
         if new is None:
             break
         if polish.q > 1:
-            new = _drop_vanishing(polish, pt, new, lam)
+            new = yield from _drop_vanishing(polish, pt, new, lam)
         pt = new
     Q = np.zeros(polish.full_pin.size)
     Q[polish.support] = pt.Q
-    return _PolishResult(Q, converged or pt.y.size == 0, nit, polish.evals)
+    return Q, converged or pt.y.size == 0, nit, polish.evals
 
 
 def _kkt_residual(g, a, r, slack, aa, ag):
@@ -774,8 +958,9 @@ def _kkt_residual(g, a, r, slack, aa, ag):
 
 
 def _to_level(polish, p, a, aa):
-    """Second-order correction: p moved along a onto the linearized level."""
-    return polish.point(p.y + ((polish.level - p.c) / aa) * a)
+    """Second-order correction: the request for p moved along a onto the
+    linearized level."""
+    return _POINT, p.y + ((polish.level - p.c) / aa) * a
 
 
 def _line_search(polish, pt, d, a, aa, active, merit, phi, slope):
@@ -784,11 +969,11 @@ def _line_search(polish, pt, d, a, aa, active, merit, phi, slope):
     is active, gets a second-order correction back onto it first."""
     t = 1.0
     while t > 1e-6:
-        new = polish.point(pt.y + t * d)
+        new = yield _POINT, pt.y + t * d
         if merit(new) <= phi + 1e-4 * t * slope:
             return new
         if (active or new.c < polish.level) and aa > 0:
-            fix = _to_level(polish, new, a, aa)
+            fix = yield _to_level(polish, new, a, aa)
             if merit(fix) <= phi + 1e-4 * t * slope:
                 return fix
         t *= 0.5
@@ -801,9 +986,9 @@ def _curvature_search(polish, pt, s, a, aa, active, merit, phi):
     constraint is active, or when it ends below the level."""
     t = 1.0
     for _ in range(8):
-        new = polish.point(pt.y + t * s)
+        new = yield _POINT, pt.y + t * s
         if (active or new.c < polish.level) and aa > 0:
-            new = _to_level(polish, new, a, aa)
+            new = yield _to_level(polish, new, a, aa)
         if merit(new) < phi:
             return new
         t *= 0.5
@@ -823,7 +1008,7 @@ def _drop_vanishing(polish, old, new, lam):
     z = (new.ld + polish.logpin)[~vanish]
     support = polish.support
     polish.restrict(support[~vanish])
-    face = polish.point(z[:-1] - z[-1])
+    face = yield _POINT, z[:-1] - z[-1]
     # F - lam (c - level) at both points, the level cancelling
     if (face.f - lam * face.c
             < new.f - lam * new.c - STOP_RTOL * max(1.0, abs(new.f))):
@@ -837,7 +1022,8 @@ _SeedRecord = namedtuple(
 
 
 def _optimize_density(S, n, q, pin, gamma, level):
-    """Seeds, then a Newton-KKT polish (`minimize`) of each.
+    """Seeds, then a Newton-KKT polish of each, all seeds of the call
+    polished in lockstep (`minimize`).
 
     Minimizes the objective over distributions Q on X^n with constraint >=
     level; pin is pi_product(S, n), and the constraint is (1/n) D_gamma(Q ||
@@ -847,11 +1033,11 @@ def _optimize_density(S, n, q, pin, gamma, level):
     barycenters (up to four states) or the corners cross the level
     (`_ray_seeds`), reduced by the symmetries that fix state N - 1 (see the
     module docstring), and for n >= 2 the product laws of `_product_seeds`.
-    Each seed is polished by `minimize` over log-mass ratios y with Q =
-    softmax(y, 0), so the simplex needs no constraint: for q > 1 on the
-    seed's support (masses above 1e-14 of its largest), while for q <= 1 a
-    seed with a zero mass, where the objective is infinite, is scored but
-    not polished. At gamma = inf the
+    Each seed is polished over log-mass ratios y with Q = softmax(y, 0), so
+    the simplex needs no constraint: for q > 1 on the seed's support
+    (masses above 1e-14 of its largest), while for q <= 1 a seed with a
+    zero mass, where the objective is infinite, is scored but not polished.
+    At gamma = inf the
     constraint ln max_x Q_x/pi_x >= n level is not smooth: each seed is
     polished under the smooth piece of the state x where Q/pi is largest at
     the seed, which implies it; the seeds hold one such state per orbit. A
@@ -859,7 +1045,11 @@ def _optimize_density(S, n, q, pin, gamma, level):
     segment to the corner of its largest Q/pi (`_level_crossing`). Seeds
     and polished points alike are scored by the barrier objective (inf
     unless the constraint holds to 1e-13), so no infeasible point is
-    reported and no result is worse than its seed.
+    reported and no result is worse than its seed. The constraint is
+    scored for all seeds in one `constraint_rows` call, and for the
+    polished points of each round of `minimize` in one; the objective
+    takes one `_objective` call per point, since `semigroup.dirichlet_rows`
+    gives a row other bits in a batch than alone.
 
     Returns the least value, the first point that reaches it (seeds in
     order, each before its polished point), and one `_SeedRecord` per seed:
@@ -876,10 +1066,24 @@ def _optimize_density(S, n, q, pin, gamma, level):
         def constraint_rows(Qs):
             return renyi_rows(Qs, pin, logpin, gamma) / n
 
-    def full_objective(Q):
-        if not constraint_rows(Q[None, :])[0] >= level - 1e-13:
-            return INF
-        return _objective(S, n, q, Q, pin)
+    def full_objective(Qs):
+        feasible = constraint_rows(np.array(Qs)) >= level - 1e-13
+        return [_objective(S, n, q, Q, pin) if ok else INF
+                for Q, ok in zip(Qs, feasible.tolist())]
+
+    def polished(Qs):
+        values = full_objective(Qs)
+        for i, Q in enumerate(Qs):
+            if not np.isfinite(values[i]):
+                # the polish can stop just outside the level set; the
+                # divergence grows from Q toward the corner of the largest
+                # Q/pi
+                corner = np.eye(N)[np.argmax(Q / pin)]
+                if constraint_rows(corner[None, :])[0] >= level:
+                    Qs[i] = _level_crossing(Q, corner, constraint_rows,
+                                            level)[0]
+                    values[i] = full_objective(Qs[i:i + 1])[0]
+        return Qs, values
 
     perms = automorphisms(S, n)
     rays = _ray_seeds(pin, constraint_rows, level,
@@ -889,36 +1093,28 @@ def _optimize_density(S, n, q, pin, gamma, level):
         seeds += [("product", s) for s in _product_seeds(S, n, gamma, level)]
 
     M = pin[:, None] * kronecker_sum(S.generator, n)
-    records = []
-    for family, s in seeds:
-        seed_value = full_objective(s)
-        constraint = (("logvar", None) if gamma is None
-                      else ("state", int(np.argmax(s / pin)))
-                      if np.isinf(gamma) else ("renyi", gamma))
+    seed_values = full_objective([s for _, s in seeds])
+    polishes, ys, prior, least = [], [], [], INF
+    for (_, s), seed_value in zip(seeds, seed_values):
         # q > 1 polishes on the face a seed lies on, up to masses at the
         # rounding level of the largest; below, the objective is infinite
         # there, and only seeds inside are polished
         support = np.flatnonzero(s > 1e-14 * s.max())
-        if q <= 1 and support.size < N:
-            records.append(_SeedRecord(family, s, seed_value, s, seed_value,
-                                       None, 0, 0))
-            continue
-        ls = np.log(s[support])
-        res = minimize(_Polish(M, pin, q, n, constraint, level, support),
-                       ls[:-1] - ls[-1],
-                       min((min(r.seed_value, r.value) for r in records),
-                           default=INF))
-        Q = res.Q
-        v = full_objective(Q)
-        if not np.isfinite(v):
-            # the polish can stop just outside the level set; the
-            # divergence grows from Q toward the corner of the largest Q/pi
-            corner = np.eye(N)[np.argmax(Q / pin)]
-            if constraint_rows(corner[None, :])[0] >= level:
-                Q = _level_crossing(Q, corner, constraint_rows, level)[0]
-                v = full_objective(Q)
-        records.append(_SeedRecord(family, s, seed_value, Q, v, res.converged,
-                                   res.nit, res.evals))
+        if q > 1 or support.size == N:
+            constraint = (("logvar", None) if gamma is None
+                          else ("state", int(np.argmax(s / pin)))
+                          if np.isinf(gamma) else ("renyi", gamma))
+            ls = np.log(s[support])
+            polishes.append(_Polish(M, pin, q, n, constraint, level, support))
+            ys.append(ls[:-1] - ls[-1])
+            prior.append(least)
+        else:
+            polishes.append(None)
+        least = min(least, seed_value)
+    results = iter(minimize([p for p in polishes if p], ys, prior, polished))
+    records = [_SeedRecord(family, s, v, *(next(results) if p
+                                           else (s, v, None, 0, 0)))
+               for (family, s), v, p in zip(seeds, seed_values, polishes)]
 
     candidates = [c for r in records
                   for c in ((r.seed_value, r.seed), (r.value, r.point))

@@ -817,22 +817,31 @@ class TestExactGradients:
                 assert np.all(np.isfinite(part))
 
 
-def recorded_polishes(monkeypatch, run):
-    """(problem arguments, seed y, result) of every polish that run makes."""
+def recorded_batches(monkeypatch, run):
+    """(problem arguments, seed ys, prior, score, results) of every
+    `minimize` call that run makes: one lockstep batch per
+    `_optimize_density` call, its polishes in seed order."""
     calls = []
     real = sobolev.minimize
 
-    def recording(problem, y, *rest):
-        args = (problem.full_M, problem.full_pin, problem.q, problem.n,
-                (problem.kind, problem.order), problem.level,
-                problem.support.copy())
-        res = real(problem, y, *rest)
-        calls.append((args, np.array(y), res))
-        return res
+    def recording(polishes, ys, prior, score):
+        args = [(p.full_M, p.full_pin, p.q, p.n, (p.kind, p.order), p.level,
+                 p.support.copy()) for p in polishes]
+        results = real(polishes, ys, prior, score)
+        calls.append((args, [np.array(y) for y in ys], list(prior), score,
+                      results))
+        return results
 
     monkeypatch.setattr(sobolev, "minimize", recording)
     run()
     return calls
+
+
+def recorded_polishes(monkeypatch, run):
+    """(problem arguments, seed y, result) of every polish that run makes."""
+    return [polish for args, ys, _, _, results in
+            recorded_batches(monkeypatch, run)
+            for polish in zip(args, ys, results)]
 
 
 class TestPolishGradients:
@@ -918,6 +927,70 @@ class TestPolishConvergence:
                  if not res.converged]
         assert not stuck
         assert max(res.nit for _, _, res in calls) < sobolev.POLISH_MAXITER
+
+
+class TestLockstep:
+    def test_each_polish_alone_matches_its_batch(self, monkeypatch):
+        # `minimize` polishes the seeds of a call in lockstep, stacked; each
+        # polish run alone, with the incumbent its batch gave it, must end
+        # with the same bits, iterations and evaluations. The battery is the
+        # curves-style inputs (q = 0, 1 and above, faces dropped at q > 1)
+        # and p = inf (the "state" constraint); on it later seeds reach
+        # their saddle gates while earlier ones still run, and wait
+        minimize = sobolev.minimize
+        gates, running = [], []
+        steps = sobolev._polish_steps
+
+        def watched(polish, y):
+            # which polishes before this one still ran when it asked to
+            # leave a saddle point, and the answer
+            j = len(running)
+            running.append(True)
+            run, answer = steps(polish, y), None
+            while True:
+                try:
+                    ask = run.send(answer)
+                except StopIteration as stop:
+                    running[j] = False
+                    return stop.value
+                before = any(running[:j])
+                answer = yield ask
+                if ask[0] == sobolev._GATE:
+                    gates.append((before, answer))
+
+        def battery():
+            for S, p, q, n, alpha in curves_style_inputs():
+                running.clear()
+                if p is None:
+                    xi_q(S, q, alpha)
+                else:
+                    xi_pq_n(S, p, q, n, alpha)
+            for chain, n in (("binary", 2), ("K3", 2), ("K3", 1)):
+                S = symmetric_chain(chain)
+                for f in (0.2, 0.5, 0.8):
+                    running.clear()
+                    xi_pq_n(S, math.inf, 2.0, n,
+                            f * -math.log(S.stationary.min()))
+
+        monkeypatch.setattr(sobolev, "_polish_steps", watched)
+        batches = recorded_batches(monkeypatch, battery)
+        monkeypatch.setattr(sobolev, "_polish_steps", steps)
+        kinds = {args[4][0] for batch in batches for args in batch[0]}
+        assert kinds == {"logvar", "renyi", "state"}
+        assert any(args[2] > 1 and res.point[args[6]].min() == 0
+                   for batch in batches for args, res in zip(batch[0],
+                                                             batch[4]))
+        # a gate answered yes while a polish before it ran has waited
+        assert (True, True) in gates
+        for args, ys, prior, score, results in batches:
+            assert len(results) > 1
+            for j, (arg, y, res) in enumerate(zip(args, ys, results)):
+                incumbent = min([prior[j]] + [r.value for r in results[:j]])
+                alone, = minimize([sobolev._Polish(*arg)], [y], [incumbent],
+                                  score)
+                assert alone.point.tobytes() == res.point.tobytes()
+                assert repr(alone.value) == repr(res.value)
+                assert alone[2:] == res[2:]
 
 
 @pytest.fixture(scope="module")
